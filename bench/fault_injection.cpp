@@ -7,7 +7,7 @@
 // (swap, sortedness break, duplicate, off-by-one, out-of-range, truncate)
 // and demand the guard contract — every injected fault is either *detected*
 // by property validation or *harmless* (the schedule derived from the
-// simplified inspectors still respects the baseline dependence graph of
+// simplified inspectors still honors the baseline dependence graph of
 // the corrupted input). Any "silent wrong schedule" outcome fails the run.
 //
 // The same adversary is then pointed at the storage layer: each kernel's

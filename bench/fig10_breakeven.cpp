@@ -9,8 +9,8 @@
 // serial on this machine (e.g. one core), the break-even is unreachable
 // and printed as "-".
 //
-// Extended with the schedule post-pass comparison (DESIGN.md §14): every
-// (kernel, matrix) cell is also executed under the barrier LBC, coalesced,
+// Extended with the schedule shape comparison (DESIGN.md §14): every
+// (kernel, matrix) cell is executed under the barrier LBC, coalesced,
 // barrier-free P2P, and vectorized schedules, and the end-to-end executor
 // times plus the machine-independent schedule shapes (waves/chunks/run
 // coverage at a fixed 8 threads) land in BENCH_schedule.json for the
@@ -66,7 +66,8 @@ int main(int argc, char **argv) {
   std::printf("   inspector/serial\n");
 
   // The four executor shapes of the schedule comparison. LBC is the
-  // barrier baseline the pass framework starts from.
+  // barrier baseline the other shapes start from, and its executor time
+  // is the break-even column's.
   struct Shape {
     const char *Label;
     ScheduleKind Kind;
@@ -100,21 +101,11 @@ int main(int argc, char **argv) {
       TotalVisits += Insp.InspectorVisits;
       TotalEdges += Insp.Graph.numEdges();
       TotalInspT += InspT;
-      LBCConfig C;
-      C.NumThreads = Threads;
-      C.MinWorkPerThread = 256;
-      WavefrontSchedule S = scheduleLBC(Insp.Graph, C, I.NodeCost);
       double SerialT = bench::medianTimeOf(I.Serial);
-      double ExecT = bench::medianTimeOf([&] { I.Wavefront(S); });
       InspectorOverSerial += InspT / SerialT;
       ++KernelCells;
-      if (SerialT > ExecT)
-        std::printf(" %11.1f", (InspT + ExecT) / (SerialT - ExecT));
-      else
-        std::printf(" %11s", "-");
-      std::fflush(stdout);
 
-      // -- Schedule post-pass comparison on this cell. ---------------------
+      // -- Schedule shape comparison on this cell. -------------------------
       if (I.Reset)
         I.Reset();
       I.Serial();
@@ -162,6 +153,13 @@ int main(int argc, char **argv) {
         if (Sh.Kind == ScheduleKind::LBC)
           BaseWaves8 = St.Base.NumWaves;
       }
+      // The break-even column uses the barrier LBC shape's executor time.
+      if (SerialT > CellBarrier)
+        std::printf(" %11.1f",
+                    (InspT + CellBarrier) / (SerialT - CellBarrier));
+      else
+        std::printf(" %11s", "-");
+      std::fflush(stdout);
       // "High wave count" is a property of the barrier schedule's shape
       // (deterministic), the win is a property of this machine's clock.
       if (BaseWaves8 > 64) {

@@ -50,7 +50,7 @@ int main(int argc, char **argv) {
   uint64_t TotalVisits = 0, TotalEdges = 0;
   double TotalInspSeconds = 0, SumSpeedup = 0;
   int Cells = 0;
-  // Per-shape speedups from the schedule post-pass framework, printed as
+  // Per-shape speedups of the other schedule kinds, printed as
   // a companion table and summarized per kind in BENCH_fig9.json.
   const std::pair<const char *, ScheduleKind> ShapeKinds[] = {
       {"coalesced", ScheduleKind::Coalesced},
@@ -69,12 +69,12 @@ int main(int argc, char **argv) {
       TotalVisits += Insp.InspectorVisits;
       TotalEdges += Insp.Graph.numEdges();
       TotalInspSeconds += Insp.Seconds;
-      LBCConfig C;
-      C.NumThreads = Threads;
-      C.MinWorkPerThread = 256;
-      WavefrontSchedule S = scheduleLBC(Insp.Graph, C, I.NodeCost);
+      ScheduleConfig SC;
+      SC.NumThreads = Threads;
+      SC.MinWorkPerThread = 256;
+      CompiledSchedule S = buildSchedule(Insp.Graph, SC, I.NodeCost);
       double SerialT = bench::medianTimeOf(I.Serial);
-      double ExecT = bench::medianTimeOf([&] { I.Wavefront(S); });
+      double ExecT = bench::medianTimeOf([&] { I.Scheduled(S); });
       SumSpeedup += SerialT / ExecT;
       ++Cells;
       std::printf(" %10.2fx", SerialT / ExecT);
@@ -82,11 +82,9 @@ int main(int argc, char **argv) {
 
       std::string ShapeRow = K.Name + " @ " + M.Name + ":";
       for (const auto &[Label, Kind] : ShapeKinds) {
-        ScheduleConfig SC;
-        SC.Kind = Kind;
-        SC.NumThreads = Threads;
-        SC.MinWorkPerThread = 256;
-        CompiledSchedule CS = buildSchedule(Insp.Graph, SC, I.NodeCost);
+        ScheduleConfig ShapeSC = SC;
+        ShapeSC.Kind = Kind;
+        CompiledSchedule CS = buildSchedule(Insp.Graph, ShapeSC, I.NodeCost);
         double ShapeT = bench::medianTimeOf([&] {
           if (I.Reset)
             I.Reset();
@@ -100,10 +98,9 @@ int main(int argc, char **argv) {
       }
       ShapeRows.push_back(std::move(ShapeRow));
 
-      LBCConfig C8;
-      C8.NumThreads = 8;
-      C8.MinWorkPerThread = 256;
-      WavefrontSchedule S8 = scheduleLBC(Insp.Graph, C8, I.NodeCost);
+      ScheduleConfig SC8 = SC;
+      SC8.NumThreads = 8;
+      CompiledSchedule S8 = buildSchedule(Insp.Graph, SC8, I.NodeCost);
       double Total = 0, Critical = 0;
       for (const auto &Wave : S8.Waves) {
         double MaxPart = 0;
@@ -128,7 +125,7 @@ int main(int argc, char **argv) {
               "critical-path work,\nthe ideal-machine Figure 9):\n");
   for (const std::string &Row : BoundRows)
     std::printf("%s\n", Row.c_str());
-  std::printf("\nPost-pass executor speedup over serial (barrier column is "
+  std::printf("\nPer-shape executor speedup over serial (barrier column is "
               "the main table):\n");
   for (const std::string &Row : ShapeRows)
     std::printf("%s\n", Row.c_str());

@@ -11,7 +11,7 @@
 //   wavefront_solver path/to/A.mtx    # your matrix (general or symmetric)
 //   SDS_THREADS=8 wavefront_solver    # executor thread count
 //
-// Schedule shape (sds::rt schedule post-pass framework, DESIGN.md §14):
+// Schedule shape (sds::rt::buildSchedule, DESIGN.md §14):
 //   --schedule=levels|lbc|coalesced|p2p|vector   executor schedule kind
 //                         (default: the artifact's recorded spec, else lbc)
 //

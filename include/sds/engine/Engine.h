@@ -80,7 +80,7 @@ struct EngineStats {
 };
 
 /// A memoized per-matrix serving plan: the inspected dependence graph and
-/// the compiled schedule (post-pass pipeline applied) built from it.
+/// the compiled schedule rt::buildSchedule made from it.
 struct MatrixPlan {
   driver::InspectionResult Inspection;
   rt::CompiledSchedule Schedule;

@@ -7,7 +7,7 @@
 // Deliberately corrupts the index arrays of a bound environment and checks
 // the guard's end-to-end contract: every corruption is either *detected*
 // by property validation or *harmless* (the schedule derived from the
-// simplified inspectors still respects the baseline dependence graph of
+// simplified inspectors still honors the baseline dependence graph of
 // the corrupted input). A trial where neither holds is a silent wrong
 // schedule — the failure class this subsystem exists to rule out.
 //
@@ -66,7 +66,7 @@ struct FaultTrial {
   std::string Description; ///< what was corrupted
   bool Injected = false;   ///< the fault actually altered data
   bool Detected = false;   ///< validation reported non-trusted
-  bool StillCorrect = false; ///< simplified-graph schedule respects baseline
+  bool StillCorrect = false; ///< simplified-graph schedule honors baseline
   double Seconds = 0;
 
   /// The contract violation: data changed, validation passed, and the
@@ -131,7 +131,7 @@ struct InferTrial {
   bool RemedyTripped = false; ///< >= 1 inferred-tier remedy failed validation
   unsigned DepsRevoked = 0;   ///< dependences individually reverted
   bool UsedFallback = false;  ///< any revocation (or whole-analysis fallback)
-  bool StillCorrect = false;  ///< served schedule respects corrupted baseline
+  bool StillCorrect = false;  ///< served schedule honors corrupted baseline
   double Seconds = 0;
 
   /// The contract violation: data changed and the schedule served from the

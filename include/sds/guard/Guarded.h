@@ -96,7 +96,7 @@ struct GuardedResult {
   driver::InspectionResult Inspection;
 
   bool Verified = false;     ///< the cross-check ran
-  bool VerifyPassed = true;  ///< schedule respects the baseline graph
+  bool VerifyPassed = true;  ///< schedule honors the baseline graph
   std::string VerifyDetail;
 
   double Seconds = 0;

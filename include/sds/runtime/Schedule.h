@@ -1,16 +1,17 @@
-//===- Schedule.h - Schedule post-pass framework ----------------*- C++ -*-===//
+//===- Schedule.h - Compiled wavefront schedules ----------------*- C++ -*-===//
 //
 // Part of the sparse-dep-simplify project (PLDI 2019 reproduction).
 //
 //===----------------------------------------------------------------------===//
 //
-// Post-pass framework over wavefront schedules (DESIGN.md §14): a base
-// schedule (level sets or LBC) is transformed by composable passes into a
-// CompiledSchedule the executors in Kernels.h can run without per-wave
-// barriers (P2P ready propagation), with fewer/fatter waves (cache-aware
-// coalescing), or with contiguous vectorizable runs. The schedule kind +
-// pass knobs are a named plan dimension: artifact::CompiledKernel
-// serializes them and engine::Engine keys its matrix-plan tier on them.
+// The one schedule type of the runtime (DESIGN.md §14): buildSchedule()
+// turns a dependence graph into a CompiledSchedule — level sets or the
+// load-balanced level coarsening (LBC) of §8.1, optionally transformed
+// into fewer/fatter waves (cache-aware coalescing), barrier-free ready
+// propagation (P2P), or contiguous consecutive-id runs — which the
+// executors in Kernels.h run. The schedule kind + knobs are a named plan
+// dimension: artifact::CompiledKernel serializes them and engine::Engine
+// keys its matrix-plan tier on them.
 //
 //===----------------------------------------------------------------------===//
 
@@ -19,7 +20,7 @@
 
 #include "sds/runtime/Wavefront.h"
 
-#include <memory>
+#include <cstdint>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -37,7 +38,7 @@ namespace rt {
 /// synchronization and locality, not semantics.
 enum class ScheduleKind {
   Levels,    ///< plain level sets, one barrier per level
-  LBC,       ///< load-balanced level coarsening (scheduleLBC)
+  LBC,       ///< load-balanced level coarsening (§8.1)
   Coalesced, ///< LBC + short-wave merging into component-packed chunks
   P2P,       ///< coalesced shape, barriers replaced by ready counters
   Vector,    ///< coalesced shape + contiguous vectorizable-run blocks
@@ -57,11 +58,12 @@ struct ScheduleConfig {
   /// Coalescing merges consecutive base waves while the merged wave's
   /// cost stays below CoalesceFactor * MinWorkPerThread * NumThreads.
   double CoalesceFactor = 2.0;
-  /// Runs shorter than this execute node-by-node; longer runs become
-  /// contiguous blocks (Vector kind only).
+  /// Runs at least this long count as vectorizable in describeSchedule
+  /// (Vector kind only).
   int MinVectorRun = 4;
 
-  /// Cache-key string, e.g. "p2p/w64/c2/v4/t8".
+  /// Cache-key string, e.g. "p2p/w64/c2/v4/t8". Doubles print in
+  /// round-trip precision, so distinct knob values never share a key.
   std::string key() const;
 };
 
@@ -71,32 +73,33 @@ struct ScheduleConfig {
 
 /// A maximal run of consecutive iteration ids inside one chunk with no
 /// intra-run dependence edges: positions [Pos, Pos+Len) of the chunk hold
-/// ids Chunk[Pos], Chunk[Pos]+1, ..., Chunk[Pos]+Len-1. Every kernel body
-/// is one slot program per node, so equal-length runs are block-executable
-/// as a single contiguous loop the compiler can vectorize.
+/// ids Chunk[Pos], Chunk[Pos]+1, ..., Chunk[Pos]+Len-1 — a contiguous loop
+/// with no dependence inside. The executors still run chunks node by node;
+/// runs are a shape measurement (vector coverage), not an execution mode.
 struct VectorRun {
   int Pos = 0; ///< index into the chunk
   int Len = 1; ///< number of consecutive ids
 };
 
-/// A schedule lowered for execution: the wave/chunk shape plus everything
-/// the executor needs that the base WavefrontSchedule lacks — the P2P
-/// ready-counter seed (in-degrees + a private copy of the successor CSR,
-/// so the executor does not dangle when the DependenceGraph is
-/// re-finalized or freed), and the vector-run decomposition of every
-/// chunk. Built by buildSchedule(); validated by certifySchedule().
+/// A schedule lowered for execution: outer waves executed in order, the
+/// per-thread chunks inside one wave run concurrently. Besides the
+/// wave/chunk shape it carries the P2P ready-counter seed (in-degrees + a
+/// private copy of the successor CSR, so the executor does not dangle
+/// when the DependenceGraph is re-finalized or freed) and the vector-run
+/// decomposition of every chunk. Built by buildSchedule(); validated by
+/// certifySchedule().
 struct CompiledSchedule {
-  WavefrontSchedule Waves;
+  /// Waves[w][t] = nodes thread t executes in wave w, in order.
+  std::vector<std::vector<std::vector<int>>> Waves;
   ScheduleConfig Config;
 
   /// True: executors skip the per-wave barrier and gate each node on an
   /// atomic remaining-predecessor counter instead.
   bool UsesP2P = false;
-  /// True: Runs decomposes every chunk; executors run long runs as
-  /// contiguous [Begin, End) blocks.
+  /// True: Runs decomposes every chunk into consecutive-id runs.
   bool HasRuns = false;
 
-  /// Runs[w][t] covers chunk Waves.Waves[w][t] exactly, in order; only
+  /// Runs[w][t] covers chunk Waves[w][t] exactly, in order; only
   /// meaningful when HasRuns.
   std::vector<std::vector<std::vector<VectorRun>>> Runs;
 
@@ -106,49 +109,17 @@ struct CompiledSchedule {
   std::vector<size_t> SuccPtr;
   std::vector<int> SuccDst;
 
-  int numWaves() const { return Waves.numWaves(); }
-  int numNodes() const {
-    return static_cast<int>(InDegree.empty() ? 0 : InDegree.size());
-  }
+  int numWaves() const { return static_cast<int>(Waves.size()); }
 };
 
-//===----------------------------------------------------------------------===//
-// Pass framework
-//===----------------------------------------------------------------------===//
-
-/// A schedule post-pass: transforms a CompiledSchedule in place. Passes
-/// compose left-to-right; each must preserve validity (certifySchedule
-/// holds before and after).
-class SchedulePass {
-public:
-  virtual ~SchedulePass() = default;
-  virtual const char *name() const = 0;
-  virtual void run(const DependenceGraph &G,
-                   const std::vector<double> &NodeCost,
-                   CompiledSchedule &S) = 0;
-};
-
-/// Merge consecutive short waves into one wave whose chunks are the
-/// dependence-connected components of the merged node set, bin-packed
-/// largest-first and sorted ascending (so intra-chunk edges stay ordered).
-std::unique_ptr<SchedulePass> createCoalescePass();
-
-/// Decompose every chunk into maximal consecutive-id, edge-free runs and
-/// set HasRuns.
-std::unique_ptr<SchedulePass> createVectorRunPass();
-
-/// Snapshot in-degrees + the successor CSR into the schedule and set
-/// UsesP2P — the executors then run barrier-free.
-std::unique_ptr<SchedulePass> createP2PLoweringPass();
-
-/// The pass pipeline a config implies: {} for Levels/LBC,
-/// {coalesce} for Coalesced, {coalesce, p2p} for P2P,
-/// {coalesce, vector-runs} for Vector.
-std::vector<std::unique_ptr<SchedulePass>>
-schedulePassesFor(const ScheduleConfig &C);
-
-/// Build the base schedule for C.Kind (levels or LBC) and run the implied
-/// pass pipeline over it.
+/// Build the schedule C describes. The base is plain level sets (one wave
+/// per level, nodes balanced over threads by cost) for Levels, else LBC:
+/// consecutive levels are merged until each window carries
+/// MinWorkPerThread * NumThreads work, and each window is w-partitioned
+/// into per-thread groups of whole dependence-connected components,
+/// splitting windows too connected to balance. Coalesced, P2P and Vector
+/// then merge short LBC waves into component-packed chunks; P2P also
+/// snapshots the ready-counter seed, Vector the run decomposition.
 CompiledSchedule buildSchedule(const DependenceGraph &G,
                                const ScheduleConfig &C,
                                const std::vector<double> &NodeCost = {});
@@ -157,19 +128,33 @@ CompiledSchedule buildSchedule(const DependenceGraph &G,
 // Certification and stats
 //===----------------------------------------------------------------------===//
 
-/// Generic schedule certificate (the brute-force DAG cover from
+/// Schedule certificate (the brute-force DAG cover from
 /// driver_parallel_test, promoted to the library): every node scheduled
 /// exactly once and every edge's source in a strictly earlier wave or
-/// earlier in the same thread's chunk.
-bool certifySchedule(const DependenceGraph &G, const WavefrontSchedule &S);
-
-/// CompiledSchedule certificate: the wave/chunk cover above, plus — when
-/// HasRuns — that Runs partitions every chunk into consecutive-id runs
-/// with no intra-run edges, and — when UsesP2P — that the in-degree seed
-/// matches the graph.
+/// earlier in the same thread's chunk; plus — when HasRuns — that Runs
+/// partitions every chunk into consecutive-id runs with no intra-run
+/// edges, and — when UsesP2P — that the in-degree seed matches the graph.
 bool certifySchedule(const DependenceGraph &G, const CompiledSchedule &S);
 
-/// Shape summary of a compiled schedule: the base ScheduleStats plus the
+/// Observability summary of a schedule's wave shape: wave count, per-wave
+/// node counts (the level-size histogram behind Figure 9's parallelism
+/// story), and the achieved parallelism TotalNodes / CriticalWork — the
+/// average number of nodes runnable concurrently under the schedule.
+struct ScheduleStats {
+  int NumWaves = 0;
+  uint64_t TotalNodes = 0;
+  uint64_t CriticalWork = 0;       ///< max-over-threads, summed over waves
+  std::vector<uint64_t> WaveSizes; ///< nodes per wave, in wave order
+  uint64_t MaxWaveSize = 0;
+
+  double achievedParallelism() const {
+    return CriticalWork ? static_cast<double>(TotalNodes) /
+                              static_cast<double>(CriticalWork)
+                        : 0.0;
+  }
+};
+
+/// Shape summary of a compiled schedule: its ScheduleStats plus the
 /// chunk count and vector-run coverage (nodes inside runs of length >=
 /// Config.MinVectorRun, as a fraction of all nodes).
 struct CompiledScheduleStats {

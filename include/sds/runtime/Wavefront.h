@@ -1,14 +1,14 @@
-//===- Wavefront.h - Dependence DAGs, level sets, and LBC -------*- C++ -*-===//
+//===- Wavefront.h - Dependence DAGs and level sets -------------*- C++ -*-===//
 //
 // Part of the sparse-dep-simplify project (PLDI 2019 reproduction).
 //
 //===----------------------------------------------------------------------===//
 //
 // The runtime half of the inspector-executor scheme (§3, §8): the
-// dependence graph built by a generated inspector, its level sets
-// (classic wavefronts), and a load-balanced level coarsening (LBC)
-// scheduler in the spirit of Cheshmi et al. [14], which §8.1 uses to
-// mitigate synchronization overhead and load imbalance.
+// dependence graph built by a generated inspector and its level sets
+// (classic wavefronts). Schedules over the graph — plain level sets, the
+// load-balanced level coarsening (LBC) of §8.1, and the shapes derived
+// from it — are built by rt::buildSchedule (Schedule.h).
 //
 //===----------------------------------------------------------------------===//
 
@@ -91,59 +91,6 @@ struct LevelSets {
 };
 
 LevelSets computeLevelSets(const DependenceGraph &G);
-
-/// A schedule: outer waves executed in order; the node lists inside one
-/// wave are partitioned per thread and run concurrently.
-struct WavefrontSchedule {
-  /// Waves[w][t] = nodes thread t executes in wave w.
-  std::vector<std::vector<std::vector<int>>> Waves;
-
-  int numWaves() const { return static_cast<int>(Waves.size()); }
-  /// Validity: every edge's source appears in a strictly earlier wave, or
-  /// in the same thread-partition before its sink.
-  bool respects(const DependenceGraph &G) const;
-  /// Max-over-threads/sum-over-waves cost with unit node weights.
-  uint64_t criticalWork() const;
-};
-
-/// Plain level-set schedule: one wave per level, nodes round-robined over
-/// threads by cost.
-WavefrontSchedule scheduleLevelSets(const DependenceGraph &G,
-                                    int NumThreads,
-                                    const std::vector<double> &NodeCost = {});
-
-/// Load-balanced level coarsening: consecutive levels are merged until
-/// each wave carries enough work for the thread count, then each wave is
-/// partitioned into per-thread groups that respect intra-wave edges
-/// (followers of a node stay in its group when possible, in the spirit of
-/// LBC's w-partitioning).
-struct LBCConfig {
-  int NumThreads = 8;
-  double MinWorkPerThread = 64; ///< coarsen until wave work >= this * threads
-};
-
-WavefrontSchedule scheduleLBC(const DependenceGraph &G, const LBCConfig &C,
-                              const std::vector<double> &NodeCost = {});
-
-/// Observability summary of a schedule: wave count, per-wave node counts
-/// (the level-size histogram behind Figure 9's parallelism story), and the
-/// achieved parallelism totalNodes / criticalWork — the average number of
-/// nodes runnable concurrently under the schedule.
-struct ScheduleStats {
-  int NumWaves = 0;
-  uint64_t TotalNodes = 0;
-  uint64_t CriticalWork = 0;       ///< max-over-threads, summed over waves
-  std::vector<uint64_t> WaveSizes; ///< nodes per wave, in wave order
-  uint64_t MaxWaveSize = 0;
-
-  double achievedParallelism() const {
-    return CriticalWork ? static_cast<double>(TotalNodes) /
-                              static_cast<double>(CriticalWork)
-                        : 0.0;
-  }
-};
-
-ScheduleStats describeSchedule(const WavefrontSchedule &S);
 
 } // namespace rt
 } // namespace sds

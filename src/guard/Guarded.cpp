@@ -384,16 +384,18 @@ GuardedResult runGuarded(const std::string &KernelName,
     R.Verified = true;
     // Ground truth: the baseline graph over the same bound arrays. The
     // schedule the executor would follow — built from the graph actually
-    // in use — must respect every baseline dependence. A partially
+    // in use — must certify against every baseline dependence. A partially
     // revoked run is NOT the baseline, so it is cross-checked like the
     // simplified one.
     driver::InspectionResult BaseRun =
         FullFallback ? R.Inspection
                      : driver::runInspectors(KernelName, *Base, Env, N,
                                              Opts.Inspect);
-    rt::WavefrontSchedule Sched = rt::scheduleLevelSets(
-        R.Inspection.Graph, std::max(1, Opts.VerifyThreads));
-    R.VerifyPassed = Sched.respects(BaseRun.Graph);
+    rt::ScheduleConfig SC;
+    SC.Kind = rt::ScheduleKind::Levels;
+    SC.NumThreads = std::max(1, Opts.VerifyThreads);
+    R.VerifyPassed = rt::certifySchedule(
+        BaseRun.Graph, rt::buildSchedule(R.Inspection.Graph, SC));
     if (!R.VerifyPassed) {
       VerifyFails.add();
       obs::flightRecord(obs::FlightSeverity::Error, "guard",

@@ -162,22 +162,25 @@ TEST(ArtifactRoundTrip, BitIdenticalGraphAndScheduleZeroQueries) {
     support::Status S = artifact::deserialize(Blob, Loaded);
     ASSERT_TRUE(S.ok()) << C.Key << ": " << S.str();
 
+    rt::ScheduleConfig Levels4;
+    Levels4.Kind = rt::ScheduleKind::Levels;
+    Levels4.NumThreads = 4;
     for (int Threads : {1, 4}) {
       driver::InspectorOptions IOpts;
       IOpts.NumThreads = Threads;
       std::string Label = C.Key + " threads=" + std::to_string(Threads);
       driver::InspectionResult FromLoaded =
           driver::runInspectors(Loaded, Env, N, IOpts);
-      rt::WavefrontSchedule SchedLoaded =
-          rt::scheduleLevelSets(FromLoaded.Graph, 4);
+      rt::CompiledSchedule SchedLoaded =
+          rt::buildSchedule(FromLoaded.Graph, Levels4);
       // Everything above this line is the serving path; it must not have
       // touched the Presburger layer at all.
       EXPECT_EQ(presburgerQueries(), Before) << Label;
 
       driver::InspectionResult FromFresh =
           driver::runInspectors(Fresh, Env, N, IOpts);
-      rt::WavefrontSchedule SchedFresh =
-          rt::scheduleLevelSets(FromFresh.Graph, 4);
+      rt::CompiledSchedule SchedFresh =
+          rt::buildSchedule(FromFresh.Graph, Levels4);
       expectGraphsEqual(FromFresh.Graph, FromLoaded.Graph, Label);
       EXPECT_EQ(FromFresh.InspectorVisits, FromLoaded.InspectorVisits)
           << Label;

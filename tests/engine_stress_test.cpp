@@ -152,7 +152,7 @@ TEST(EngineStress, ConcurrentEvictionBoundsLiveEntriesAndStaysIdentical) {
           auto P = E.plan(K, Envs[J], envN(Envs[J]));
           if (P->Inspection.Graph.numEdges() !=
                   Ref[J]->Inspection.Graph.numEdges() ||
-              P->Schedule.Waves.Waves != Ref[J]->Schedule.Waves.Waves)
+              P->Schedule.Waves != Ref[J]->Schedule.Waves)
             ++ContentMismatches[T];
         }
     });

@@ -154,7 +154,7 @@ TEST(EngineArtifacts, LoadWarmStartsTheKernelTier) {
             LoadedPlan->Inspection.Graph.numNodes());
   EXPECT_EQ(FreshPlan->Inspection.Graph.numEdges(),
             LoadedPlan->Inspection.Graph.numEdges());
-  EXPECT_EQ(FreshPlan->Schedule.Waves.Waves, LoadedPlan->Schedule.Waves.Waves);
+  EXPECT_EQ(FreshPlan->Schedule.Waves, LoadedPlan->Schedule.Waves);
   std::remove(Path.c_str());
 }
 

@@ -14,7 +14,7 @@
 //     rejects on a *cited* base;
 //   * every divergence (full rejects, core-directed accepts) is an
 //     uncited corruption, and is safe: the simplified schedule still
-//     respects the baseline dependence graph on the corrupted arrays.
+//     honors the baseline dependence graph on the corrupted arrays.
 //
 // Plus the provenance invariants the guard relies on: every analyzed
 // dependence of every (light) paper kernel carries a core, eliminated
@@ -195,7 +195,7 @@ TEST(CoreDirectedValidation, DifferentialAgainstFullUnderFaultCampaign) {
 
     // A divergence means full validation caught an uncited corruption.
     // That is the saving, and it must be safe: the simplified schedule
-    // still respects the baseline graph over the corrupted arrays.
+    // still honors the baseline graph over the corrupted arrays.
     if (Sel.trusted() && !Full.trusted()) {
       ++Divergences;
       GuardedOptions GO;
@@ -218,7 +218,7 @@ TEST(CoreDirectedValidation, DifferentialAgainstFullUnderFaultCampaign) {
 TEST(CoreDirectedValidation, FallbackAndSelectiveGraphsAgreeUnderCampaign) {
   const Fixture &F = fx();
   // In Fallback mode the guard's end decision (which inspectors run) must
-  // yield a schedule that respects the baseline graph for every corruption
+  // yield a schedule that honors the baseline graph for every corruption
   // class — per-dependence revocation included.
   for (FaultKind K : allFaultKinds()) {
     codegen::UFEnvironment Bad;

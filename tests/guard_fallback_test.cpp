@@ -150,7 +150,7 @@ TEST(RunGuarded, CorruptedInputFallsBackToBaselineGraph) {
       driver::runInspectors(baselineAnalysis(F.Analysis), Bad, F.Lower.N);
   EXPECT_TRUE(sameGraph(G.Inspection.Graph, Base.Graph, F.Lower.N));
 
-  // And scheduling that graph respects itself — verify mode agrees.
+  // And scheduling that graph honors itself — verify mode agrees.
   EXPECT_TRUE(G.Verified);
   EXPECT_TRUE(G.VerifyPassed) << G.VerifyDetail;
 
@@ -175,7 +175,7 @@ TEST(RunGuarded, UncitedCorruptionIsToleratedByCoreDirectedValidation) {
   EXPECT_EQ(G.DepsRevoked, 0u);
   EXPECT_GT(G.PropsSkipped, 0u);
 
-  // The tolerance is sound, not lucky: the schedule still respects the
+  // The tolerance is sound, not lucky: the schedule still honors the
   // baseline graph over the same corrupted arrays.
   EXPECT_TRUE(G.Verified);
   EXPECT_TRUE(G.VerifyPassed) << G.VerifyDetail;

@@ -179,7 +179,7 @@ TEST(InferSpeculate, MisspeculationRevokesPerDependence) {
   // core-remediable count, but never the simplified-dependence count.
   EXPECT_LE(G.DepsRevoked, F.Speculated.Deps.size());
   EXPECT_TRUE(G.UsedFallback);
-  // Revocation repaired the plan: the schedule respects the corrupted
+  // Revocation repaired the plan: the schedule honors the corrupted
   // input's baseline graph.
   ASSERT_TRUE(G.Verified);
   EXPECT_TRUE(G.VerifyPassed);
@@ -276,8 +276,8 @@ TEST(InferSpeculate, EngineKeysSpeculatedTiersSeparately) {
 
   // Both plans' schedules are certified against their own graphs (sanity,
   // not identity: speculation may legally eliminate more).
-  EXPECT_TRUE(P1->Schedule.Waves.respects(P1->Inspection.Graph));
-  EXPECT_TRUE(P3->Schedule.Waves.respects(P3->Inspection.Graph));
+  EXPECT_TRUE(rt::certifySchedule(P1->Inspection.Graph, P1->Schedule));
+  EXPECT_TRUE(rt::certifySchedule(P3->Inspection.Graph, P3->Schedule));
 }
 
 } // namespace

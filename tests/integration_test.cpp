@@ -74,6 +74,13 @@ const deps::PipelineResult &gsCSRAnalysis() {
   return R;
 }
 
+ScheduleConfig levels(int Threads) {
+  ScheduleConfig C;
+  C.Kind = ScheduleKind::Levels;
+  C.NumThreads = Threads;
+  return C;
+}
+
 } // namespace
 
 TEST(Integration, Figure1MatrixYieldsFigure2Waves) {
@@ -124,12 +131,12 @@ TEST(Integration, ForwardSolveCSREndToEnd) {
   driver::InspectionResult Insp =
       driver::runInspectors(fsCSRAnalysis(), Env, L.N);
 
-  WavefrontSchedule S = scheduleLevelSets(Insp.Graph, 4);
-  ASSERT_TRUE(S.respects(Insp.Graph));
+  CompiledSchedule S = buildSchedule(Insp.Graph, levels(4));
+  ASSERT_TRUE(certifySchedule(Insp.Graph, S));
 
   std::vector<double> XSer, XPar;
   forwardSolveCSRSerial(L, B, XSer);
-  forwardSolveCSRWavefront(L, B, XPar, S);
+  forwardSolveCSRScheduled(L, B, XPar, S);
   EXPECT_LT(maxAbsDiff(XSer, XPar), 1e-10);
 }
 
@@ -142,15 +149,16 @@ TEST(Integration, ForwardSolveCSCEndToEndWithLBC) {
   driver::InspectionResult Insp =
       driver::runInspectors(fsCSCAnalysis(), Env, L.N);
 
-  LBCConfig C;
+  ScheduleConfig C;
+  C.Kind = ScheduleKind::LBC;
   C.NumThreads = 4;
   C.MinWorkPerThread = 16;
-  WavefrontSchedule S = scheduleLBC(Insp.Graph, C);
-  ASSERT_TRUE(S.respects(Insp.Graph));
+  CompiledSchedule S = buildSchedule(Insp.Graph, C);
+  ASSERT_TRUE(certifySchedule(Insp.Graph, S));
 
   std::vector<double> XSer, XPar;
   forwardSolveCSCSerial(L, B, XSer);
-  forwardSolveCSCWavefront(L, B, XPar, S);
+  forwardSolveCSCScheduled(L, B, XPar, S);
   EXPECT_LT(maxAbsDiff(XSer, XPar), 1e-9);
 }
 
@@ -163,12 +171,12 @@ TEST(Integration, GaussSeidelEndToEnd) {
       driver::runInspectors(gsCSRAnalysis(), Env, A.N);
   EXPECT_EQ(Insp.NumInspectors, 2u); // both read/write directions
 
-  WavefrontSchedule S = scheduleLevelSets(Insp.Graph, 4);
-  ASSERT_TRUE(S.respects(Insp.Graph));
+  CompiledSchedule S = buildSchedule(Insp.Graph, levels(4));
+  ASSERT_TRUE(certifySchedule(Insp.Graph, S));
 
   std::vector<double> XSer(static_cast<size_t>(A.N), 0.0), XPar = XSer;
   gaussSeidelCSRSerial(A, B, XSer);
-  gaussSeidelCSRWavefront(A, B, XPar, S);
+  gaussSeidelCSRScheduled(A, B, XPar, S);
   EXPECT_LT(maxAbsDiff(XSer, XPar), 1e-10);
 }
 

@@ -1,8 +1,8 @@
-//===- runtime_schedule_test.cpp - Schedule post-pass framework tests ------===//
+//===- runtime_schedule_test.cpp - Compiled schedule tests -----------------===//
 //
 // Part of the sparse-dep-simplify project (PLDI 2019 reproduction).
 //
-// Covers the pass framework of DESIGN.md §14: every schedule kind
+// Covers the schedule shapes of DESIGN.md §14: every schedule kind
 // certifies on arbitrary DAGs at every thread count, the coalescer only
 // removes waves, vector runs partition chunks into consecutive edge-free
 // blocks, the P2P lowering seeds exactly the graph's in-degrees, and the
@@ -132,6 +132,19 @@ TEST(ScheduleConfig, KeySeparatesKindsAndKnobs) {
   ScheduleConfig B = A;
   B.MinVectorRun = 16;
   EXPECT_NE(A.key(), B.key());
+  // Knobs that agree in their first six significant digits still differ.
+  ScheduleConfig W = config(ScheduleKind::LBC, 8, 64);
+  ScheduleConfig W2 = config(ScheduleKind::LBC, 8, 64.00001);
+  EXPECT_NE(W.key(), W2.key());
+  ScheduleConfig F = W;
+  F.CoalesceFactor = 2.000001;
+  EXPECT_NE(W.key(), F.key());
+}
+
+TEST(ScheduleConfig, DefaultKeyIsStable) {
+  // Stores and artifacts persist keys: the default spelling never drifts.
+  EXPECT_EQ(ScheduleConfig().key(), "lbc/w64/c2/v4/t8");
+  EXPECT_EQ(config(ScheduleKind::P2P, 4, 256).key(), "p2p/w256/c2/v4/t4");
 }
 
 //===----------------------------------------------------------------------===//
@@ -159,7 +172,7 @@ TEST_P(ScheduleRandom, EveryKindCertifies) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ScheduleRandom, ::testing::Range(0, 10));
 
-TEST(SchedulePasses, CoalesceOnlyRemovesWaves) {
+TEST(ScheduleCoalesce, OnlyRemovesWaves) {
   // Many short waves (parallel chains): coalescing must strictly help on
   // this shape, and can never produce more waves than its input.
   int N = 512;
@@ -181,7 +194,7 @@ TEST(SchedulePasses, CoalesceOnlyRemovesWaves) {
             buildSchedule(G, config(ScheduleKind::Levels, 1)).numWaves() / 4);
 }
 
-TEST(SchedulePasses, CoalesceKeepsDominantComponentsBounded) {
+TEST(ScheduleCoalesce, KeepsDominantComponentsBounded) {
   // A single chain serializes entirely if merged greedily; the balance
   // probe must cap the dominant component near MinWorkPerThread so other
   // threads keep getting work at larger thread counts.
@@ -229,11 +242,11 @@ TEST(VectorRuns, RunsPartitionEveryChunk) {
   DependenceGraph G = randomDAG(300, 2, 99);
   CompiledSchedule S = buildSchedule(G, config(ScheduleKind::Vector, 4));
   ASSERT_TRUE(S.HasRuns);
-  ASSERT_EQ(S.Runs.size(), S.Waves.Waves.size());
-  for (size_t W = 0; W < S.Waves.Waves.size(); ++W) {
-    ASSERT_EQ(S.Runs[W].size(), S.Waves.Waves[W].size());
-    for (size_t T = 0; T < S.Waves.Waves[W].size(); ++T) {
-      const auto &Chunk = S.Waves.Waves[W][T];
+  ASSERT_EQ(S.Runs.size(), S.Waves.size());
+  for (size_t W = 0; W < S.Waves.size(); ++W) {
+    ASSERT_EQ(S.Runs[W].size(), S.Waves[W].size());
+    for (size_t T = 0; T < S.Waves[W].size(); ++T) {
+      const auto &Chunk = S.Waves[W][T];
       size_t Covered = 0;
       int NextPos = 0;
       for (const VectorRun &R : S.Runs[W][T]) {
@@ -259,7 +272,7 @@ TEST(P2PLowering, SeedsExactInDegreesAndSuccessors) {
   DependenceGraph G = randomDAG(200, 3, 7);
   CompiledSchedule S = buildSchedule(G, config(ScheduleKind::P2P, 4));
   ASSERT_TRUE(S.UsesP2P);
-  ASSERT_EQ(S.numNodes(), G.numNodes());
+  ASSERT_EQ(S.InDegree.size(), static_cast<size_t>(G.numNodes()));
   std::vector<int> Expect(static_cast<size_t>(G.numNodes()), 0);
   for (int U = 0; U < G.numNodes(); ++U)
     for (int V : G.successors(U))
@@ -293,14 +306,14 @@ TEST(Certify, DetectsCorruptedSchedules) {
   CompiledSchedule V = buildSchedule(Chain, config(ScheduleKind::Vector, 1));
   ASSERT_TRUE(certifySchedule(Chain, V));
   ASSERT_FALSE(V.Runs.empty());
-  V.Runs[0][0] = {{0, static_cast<int>(V.Waves.Waves[0][0].size())}};
+  V.Runs[0][0] = {{0, static_cast<int>(V.Waves[0][0].size())}};
   EXPECT_FALSE(certifySchedule(Chain, V));
 
   // Reverse the waves: dependences now point backwards.
   CompiledSchedule W = buildSchedule(G, config(ScheduleKind::Coalesced, 2));
   ASSERT_TRUE(certifySchedule(G, W));
-  if (W.Waves.Waves.size() > 1) {
-    std::reverse(W.Waves.Waves.begin(), W.Waves.Waves.end());
+  if (W.Waves.size() > 1) {
+    std::reverse(W.Waves.begin(), W.Waves.end());
     EXPECT_FALSE(certifySchedule(G, W));
   }
 }

@@ -5,7 +5,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "sds/runtime/Matrix.h"
-#include "sds/runtime/Wavefront.h"
+#include "sds/runtime/Schedule.h"
 
 #include <gtest/gtest.h>
 
@@ -32,6 +32,14 @@ DependenceGraph figure2Graph() {
   G.addEdge(2, 3);
   G.finalize();
   return G;
+}
+
+ScheduleConfig config(ScheduleKind Kind, int Threads, double MinWork = 64) {
+  ScheduleConfig C;
+  C.Kind = Kind;
+  C.NumThreads = Threads;
+  C.MinWorkPerThread = MinWork;
+  return C;
 }
 
 } // namespace
@@ -177,23 +185,22 @@ TEST(LevelSets, ChainAndIndependent) {
   EXPECT_EQ(computeLevelSets(Free).numLevels(), 1);
 }
 
-TEST(Schedule, LevelSetsRespectDependences) {
+TEST(Schedule, LevelSetsCertify) {
   DependenceGraph G = figure2Graph();
   for (int Threads : {1, 2, 4, 8}) {
-    WavefrontSchedule S = scheduleLevelSets(G, Threads);
-    EXPECT_TRUE(S.respects(G)) << "threads=" << Threads;
+    CompiledSchedule S =
+        buildSchedule(G, config(ScheduleKind::Levels, Threads));
+    EXPECT_TRUE(certifySchedule(G, S)) << "threads=" << Threads;
     EXPECT_EQ(S.numWaves(), 3);
   }
 }
 
-TEST(Schedule, LBCRespectsDependences) {
+TEST(Schedule, LBCCertifies) {
   DependenceGraph G = figure2Graph();
   for (int Threads : {1, 2, 4}) {
-    LBCConfig C;
-    C.NumThreads = Threads;
-    C.MinWorkPerThread = 1;
-    WavefrontSchedule S = scheduleLBC(G, C);
-    EXPECT_TRUE(S.respects(G)) << "threads=" << Threads;
+    CompiledSchedule S =
+        buildSchedule(G, config(ScheduleKind::LBC, Threads, 1));
+    EXPECT_TRUE(certifySchedule(G, S)) << "threads=" << Threads;
   }
 }
 
@@ -205,12 +212,10 @@ TEST(Schedule, LBCCoarsensLongChains) {
   for (int I = 0; I + 2 < N; I += 2)
     G.addEdge(I, I + 2); // two independent chains of length N/2
   G.finalize();
-  WavefrontSchedule Plain = scheduleLevelSets(G, 4);
-  LBCConfig C;
-  C.NumThreads = 4;
-  C.MinWorkPerThread = 16;
-  WavefrontSchedule Coarse = scheduleLBC(G, C);
-  EXPECT_TRUE(Coarse.respects(G));
+  CompiledSchedule Plain = buildSchedule(G, config(ScheduleKind::Levels, 4));
+  CompiledSchedule Coarse =
+      buildSchedule(G, config(ScheduleKind::LBC, 4, 16));
+  EXPECT_TRUE(certifySchedule(G, Coarse));
   EXPECT_LT(Coarse.numWaves(), Plain.numWaves() / 4);
 }
 
@@ -221,7 +226,8 @@ TEST(Schedule, CostBalancing) {
   G.finalize();
   std::vector<double> Cost(9, 1.0);
   Cost[0] = 8.0;
-  WavefrontSchedule S = scheduleLevelSets(G, 2, Cost);
+  CompiledSchedule S =
+      buildSchedule(G, config(ScheduleKind::Levels, 2), Cost);
   ASSERT_EQ(S.numWaves(), 1);
   // Find node 0's partition; it should carry few other nodes.
   for (const auto &Part : S.Waves[0]) {
@@ -241,7 +247,7 @@ TEST(Schedule, CostBalancing) {
 
 class WavefrontRandom : public ::testing::TestWithParam<int> {};
 
-TEST_P(WavefrontRandom, SchedulesRespectRandomGraphs) {
+TEST_P(WavefrontRandom, SchedulesCertifyOnRandomGraphs) {
   std::mt19937 Rng(static_cast<unsigned>(GetParam()));
   int N = 64 + GetParam() * 8;
   DependenceGraph G(N);
@@ -252,31 +258,32 @@ TEST_P(WavefrontRandom, SchedulesRespectRandomGraphs) {
       G.addEdge(A, B);
   }
   G.finalize();
-  WavefrontSchedule Plain = scheduleLevelSets(G, 4);
-  EXPECT_TRUE(Plain.respects(G));
-  LBCConfig C;
-  C.NumThreads = 4;
-  C.MinWorkPerThread = 8;
-  WavefrontSchedule Coarse = scheduleLBC(G, C);
-  EXPECT_TRUE(Coarse.respects(G));
+  CompiledSchedule Plain = buildSchedule(G, config(ScheduleKind::Levels, 4));
+  EXPECT_TRUE(certifySchedule(G, Plain));
+  CompiledSchedule Coarse = buildSchedule(G, config(ScheduleKind::LBC, 4, 8));
+  EXPECT_TRUE(certifySchedule(G, Coarse));
   // LBC never has more waves than plain level sets.
   EXPECT_LE(Coarse.numWaves(), Plain.numWaves());
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, WavefrontRandom, ::testing::Range(0, 20));
 
-TEST(Schedule, RespectsDetectsViolations) {
+TEST(Schedule, CertifyDetectsViolations) {
   DependenceGraph G = figure2Graph();
-  WavefrontSchedule Bad;
-  // All nodes in one wave on separate threads: 0->2 violated.
-  Bad.Waves = {{{0}, {1}, {2}, {3}}};
-  EXPECT_FALSE(Bad.respects(G));
-  // Missing node.
-  WavefrontSchedule Missing;
-  Missing.Waves = {{{0, 1, 2}}};
-  EXPECT_FALSE(Missing.respects(G));
-  // Same-thread ordering of a same-wave edge is legal.
-  WavefrontSchedule SameThread;
-  SameThread.Waves = {{{0, 2, 3}, {1}}};
-  EXPECT_TRUE(SameThread.respects(G));
+  for (ScheduleKind Kind : {ScheduleKind::Levels, ScheduleKind::LBC}) {
+    CompiledSchedule S = buildSchedule(G, config(Kind, 4, 1));
+    ASSERT_TRUE(certifySchedule(G, S)) << scheduleKindName(Kind);
+    // All nodes in one wave on separate threads: 0->2 violated.
+    CompiledSchedule Bad = S;
+    Bad.Waves = {{{0}, {1}, {2}, {3}}};
+    EXPECT_FALSE(certifySchedule(G, Bad)) << scheduleKindName(Kind);
+    // Missing node.
+    CompiledSchedule Missing = S;
+    Missing.Waves = {{{0, 1, 2}}};
+    EXPECT_FALSE(certifySchedule(G, Missing)) << scheduleKindName(Kind);
+    // Same-thread ordering of a same-wave edge is legal.
+    CompiledSchedule SameThread = S;
+    SameThread.Waves = {{{0, 2, 3}, {1}}};
+    EXPECT_TRUE(certifySchedule(G, SameThread)) << scheduleKindName(Kind);
+  }
 }

@@ -233,7 +233,7 @@ TEST(ServeStore, WarmRestartZeroQueriesBitIdenticalPlan) {
   ASSERT_NE(Warm.Plan, nullptr);
   EXPECT_TRUE(sameGraph(Warm.Plan->Inspection.Graph,
                         ColdPlan->Inspection.Graph, R.N));
-  EXPECT_EQ(Warm.Plan->Schedule.Waves.Waves, ColdPlan->Schedule.Waves.Waves);
+  EXPECT_EQ(Warm.Plan->Schedule.Waves, ColdPlan->Schedule.Waves);
   std::filesystem::remove_all(Root);
 }
 
