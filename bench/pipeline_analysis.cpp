@@ -6,17 +6,21 @@
 // every Table-2 kernel at 1/2/4/8 worker threads and reports, per thread
 // count: wall seconds, per-stage seconds, speedup vs serial, Presburger
 // cache hit/miss counts, and prefilter-ladder counters. The verdict
-// fingerprint (statuses, costs, equalities, subsumption edges) is also
-// checked against the serial run so the report doubles as a determinism
-// probe: `tN_identical` must be 1 for every N.
+// fingerprint (PipelineResult::fingerprint) is also checked against the
+// serial run so the report doubles as a determinism probe:
+// `tN_identical` must be 1 for every N.
 //
 // The cache is cleared before each thread-count configuration so the
-// cache/prefilter figures describe exactly one cold full-suite pass.
+// cache/prefilter figures describe exactly one cold full-suite pass. The
+// serial pass also reports the solver's work counters (simplex solves and
+// pivots, branch-and-bound nodes); they are trace-gated, so tracing is on
+// for that pass.
 //
 //===----------------------------------------------------------------------===//
 
 #include "BenchCommon.h"
 #include "sds/deps/Pipeline.h"
+#include "sds/obs/Trace.h"
 
 #include <cstdio>
 #include <map>
@@ -25,26 +29,6 @@
 
 using namespace sds;
 using namespace sds::deps;
-
-namespace {
-
-/// Everything about a result that must not depend on the thread count:
-/// per-dependence fate, costs, equalities, covering edges, provenance.
-std::string fingerprint(const PipelineResult &R) {
-  std::string F = R.Kernel.Name + ":" + R.KernelCost.str() + "\n";
-  for (const AnalyzedDependence &D : R.Deps) {
-    F += D.Dep.label() + "|" + depStatusName(D.Status) + "|" +
-         D.CostBefore.str() + "->" + D.CostAfter.str() + "|eq=" +
-         std::to_string(D.NewEqualities) + "|by=" + D.SubsumedBy + "|" +
-         D.Prov.Stage;
-    for (const std::string &E : D.Prov.Evidence)
-      F += ";" + E;
-    F += "\n";
-  }
-  return F;
-}
-
-} // namespace
 
 int main(int argc, char **argv) {
   bench::ObsSession Obs;
@@ -81,19 +65,26 @@ int main(int argc, char **argv) {
     Opts.NumThreads = NT;
     std::map<std::string, double> Stage;
     std::string Print;
+    bool WasTracing = obs::enabled();
+    if (NT == 1)
+      obs::setEnabled(true);
     double Seconds = bench::timeOf([&] {
       for (const kernels::Kernel &K : Suite) {
         PipelineResult R = analyzeKernel(K, Opts);
         for (const auto &[S, Sec] : R.StageSeconds)
           Stage[S] += Sec;
-        Print += fingerprint(R);
+        Print += R.fingerprint();
       }
     });
+    obs::setEnabled(WasTracing);
     presburger::QueryCacheStats QC = presburger::queryCacheStats();
     presburger::PrefilterStats PF = presburger::prefilterStats();
     if (NT == 1) {
       SerialSeconds = Seconds;
       SerialPrint = Print;
+      Report.set("t1_simplex_solves", obs::counter("simplex.solves").value());
+      Report.set("t1_simplex_pivots", obs::counter("simplex.pivots").value());
+      Report.set("t1_bnb_nodes", obs::counter("basicset.bnb_nodes").value());
     }
     bool Identical = Print == SerialPrint;
     double Speedup = Seconds > 0 ? SerialSeconds / Seconds : 0;

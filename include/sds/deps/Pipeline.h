@@ -143,6 +143,14 @@ struct PipelineResult {
 
   std::string summary() const;
 
+  /// Everything about the result that must not depend on the thread
+  /// count or on how the solver reached its verdicts: per dependence the
+  /// status, costs, equality count, covering edge, approximation flag,
+  /// provenance stage and evidence (which lists discovered equalities),
+  /// core assertions with their FromFarkas/Minimized bits, and the
+  /// inspector C code of runtime checks. Timing fields are excluded.
+  std::string fingerprint() const;
+
   /// Machine-readable report: kernel, per-dependence status, costs,
   /// discovered equalities, and generated inspector C code. Parseable by
   /// sds::json (round-trip tested).

@@ -65,6 +65,43 @@ Flattened flatten(const Conjunction &C,
 /// [InVars, OutVars, ExistVars, params..., calls...].
 Flattened flatten(const SparseRelation &R);
 
+/// Integer points that earlier emptiness solves found, keyed by column
+/// name (Flattened::Names), so a point found for one flattened set can
+/// answer a later set over the same atoms. Nearly every emptiness query of
+/// an analysis finds points; a stored point that lies in the queried set
+/// answers "non-empty" without a solve.
+///
+/// A hit only ever stands in for a False or Unknown verdict — a set that
+/// holds a known integer point cannot be proven empty — and both already
+/// mean "not proven empty" to every caller, so verdicts, and the cores of
+/// True verdicts (which still come from the solver), are unchanged. A pool
+/// serves one dependence's analysis on one thread: no locking.
+class WitnessPool {
+public:
+  /// Integer emptiness of `Set`, whose columns are named `Names`. A stored
+  /// point with a value for every column that satisfies every row
+  /// (checked exactly) answers False; otherwise this is
+  /// `Set.isEmpty(Budget, Core)`, and the point behind a False verdict is
+  /// stored. Hits count in the `presburger.witness_hits` metric.
+  presburger::Ternary isEmpty(const presburger::BasicSet &Set,
+                              const std::vector<std::string> &Names,
+                              unsigned Budget,
+                              presburger::EmptinessCore *Core = nullptr);
+
+  size_t size() const { return Points.size(); }
+
+private:
+  static constexpr size_t kMaxPoints = 64;
+  /// Values indexed by name id; `Known[Id]` is false where the solve that
+  /// found the point had no column of that name.
+  struct Point {
+    std::vector<int64_t> Values;
+    std::vector<bool> Known;
+  };
+  std::map<std::string, unsigned> Ids;
+  std::vector<Point> Points; ///< most recently useful first
+};
+
 } // namespace ir
 } // namespace sds
 

@@ -36,6 +36,8 @@
 namespace sds {
 namespace ir {
 
+class WitnessPool; // Flatten.h
+
 /// Tuning knobs for instantiation and the integer decision procedures.
 struct SimplifyOptions {
   unsigned EmptinessBudget = 64;   ///< Branch-and-bound node cap.
@@ -126,12 +128,17 @@ std::vector<Expr> argumentExpressionSet(const Conjunction &C);
 /// antecedents are syntactically present (or constant-true), plus the
 /// contrapositive rule. Returns the augmented conjunction; instances that
 /// would need disjunctions are appended to `Phase2` (when non-null).
+///
+/// `Pool` (here and below) holds the integer points earlier emptiness
+/// solves of the same dependence found; the semantic probes and phase-2
+/// piece checks answer from it before solving and add to it. Null means a
+/// pool private to the call. Results never depend on the pool.
 Conjunction
 instantiatePhase1(const Conjunction &C,
                   const std::vector<UniversalAssertion> &Assertions,
                   const SimplifyOptions &Opts, InstantiationStats *Stats,
                   std::vector<AssertionInstance> *Phase2,
-                  OriginMap *Origins = nullptr);
+                  OriginMap *Origins = nullptr, WitnessPool *Pool = nullptr);
 
 /// Decide unsatisfiability of a dependence relation under the declared
 /// index-array properties (§4.2 Definition 2 + §6.2). Returns true only
@@ -143,7 +150,7 @@ instantiatePhase1(const Conjunction &C,
 bool provenUnsat(const SparseRelation &R, const PropertySet &PS,
                  const SimplifyOptions &Opts = {},
                  InstantiationStats *Stats = nullptr,
-                 UnsatCore *Core = nullptr);
+                 UnsatCore *Core = nullptr, WitnessPool *Pool = nullptr);
 
 /// Like provenUnsat but without any property knowledge: detects relations
 /// whose purely affine part is infeasible (the paper's "Affine
@@ -151,7 +158,8 @@ bool provenUnsat(const SparseRelation &R, const PropertySet &PS,
 bool provenUnsatAffineOnly(const SparseRelation &R,
                            const SimplifyOptions &Opts = {},
                            InstantiationStats *Stats = nullptr,
-                           UnsatCore *Core = nullptr);
+                           UnsatCore *Core = nullptr,
+                           WitnessPool *Pool = nullptr);
 
 /// Result of equality discovery on one relation.
 struct EqualityDiscoveryResult {
@@ -170,7 +178,8 @@ struct EqualityDiscoveryResult {
 /// them to `R`, and eliminate existentials that became determined.
 EqualityDiscoveryResult discoverEqualities(SparseRelation &R,
                                            const PropertySet &PS,
-                                           const SimplifyOptions &Opts = {});
+                                           const SimplifyOptions &Opts = {},
+                                           WitnessPool *Pool = nullptr);
 
 } // namespace ir
 } // namespace sds

@@ -83,22 +83,32 @@ public:
   Ternary isEmpty(unsigned NodeBudget = 64) const;
 
   /// Like `isEmpty`, but on a `True` verdict additionally reports which
-  /// input rows the emptiness proof cited (see EmptinessCore). `Core` may
-  /// be null; it is cleared on any non-True verdict.
-  Ternary isEmpty(unsigned NodeBudget, EmptinessCore *Core) const;
+  /// input rows the emptiness proof cited (see EmptinessCore), and on a
+  /// `False` verdict the integer point that proved the set non-empty
+  /// (NumVars values satisfying every row). `Core` and `Witness` may be
+  /// null; `Core` is cleared on any non-True verdict, `Witness` on any
+  /// non-False one.
+  Ternary isEmpty(unsigned NodeBudget, EmptinessCore *Core,
+                  std::vector<int64_t> *Witness = nullptr) const;
 
   /// Convenience: true only when emptiness was proven.
   bool isProvenEmpty(unsigned NodeBudget = 64) const {
     return isEmpty(NodeBudget) == Ternary::True;
   }
 
-  /// An integer point in the set, if branch-and-bound found one.
+  /// Does the integer point `Point` (NumVars values) satisfy every row?
+  /// Exact; a row whose value overflows 128 bits counts as violated.
+  bool contains(const std::vector<int64_t> &Point) const;
+
+  /// An integer point in the set: the witness of a False `isEmpty`.
   std::optional<std::vector<int64_t>>
   sampleIntegerPoint(unsigned NodeBudget = 64) const;
 
   /// Promote inequalities that are provably tight everywhere (the set lies
   /// on their hyperplane) into equalities — the "detect equalities" engine
-  /// behind §4. Returns the number of inequalities promoted.
+  /// behind §4. Returns the number of inequalities promoted. Each row costs
+  /// at most one emptiness probe of (set && row >= 1), skipped when an
+  /// integer point found by an earlier probe already has row >= 1.
   unsigned detectImplicitEqualities(unsigned NodeBudget = 64);
 
   /// Eliminate the variables at `Positions` (existential projection).

@@ -7,6 +7,7 @@
 #include "sds/deps/Pipeline.h"
 
 #include "sds/codegen/Approximate.h"
+#include "sds/ir/Flatten.h"
 #include "sds/ir/SubsetDetection.h"
 #include "sds/obs/FlightRecorder.h"
 #include "sds/obs/Metrics.h"
@@ -105,12 +106,16 @@ void analyzeOneDependence(AnalyzedDependence &AD, const kernels::Kernel &K,
     }
     return true;
   };
+  // Integer points found by this dependence's emptiness solves, shared by
+  // all three stages (see ir::WitnessPool).
+  ir::WitnessPool Witnesses;
   // Step 2: affine consistency (no domain knowledge).
   {
     StageScope Sc(Seconds, "affine_unsat");
     Sc.span().tag("dep", AD.Dep.label());
     ir::InstantiationStats St;
-    if (ir::provenUnsatAffineOnly(AD.Dep.Rel, Opts.Simp, &St, &AD.Core)) {
+    if (ir::provenUnsatAffineOnly(AD.Dep.Rel, Opts.Simp, &St, &AD.Core,
+                                  &Witnesses)) {
       AD.Status = DepStatus::AffineUnsat;
       AD.HasCore = true; // no property assertions were even available
       AD.Prov.Stage = "affine-unsat";
@@ -131,7 +136,8 @@ void analyzeOneDependence(AnalyzedDependence &AD, const kernels::Kernel &K,
     ir::SimplifyOptions UnsatOpts = Opts.Simp;
     UnsatOpts.SemanticPhase1 = false;
     ir::InstantiationStats St;
-    if (ir::provenUnsat(AD.Dep.Rel, K.Properties, UnsatOpts, &St, &AD.Core)) {
+    if (ir::provenUnsat(AD.Dep.Rel, K.Properties, UnsatOpts, &St, &AD.Core,
+                        &Witnesses)) {
       AD.Status = DepStatus::PropertyUnsat;
       AD.HasCore = true;
       AD.Prov.Stage = "property-unsat";
@@ -157,7 +163,8 @@ void analyzeOneDependence(AnalyzedDependence &AD, const kernels::Kernel &K,
       if (EqOpts.SemanticProbeCap < 1500)
         EqOpts.SemanticProbeCap = 1500;
       ir::EqualityDiscoveryResult R =
-          ir::discoverEqualities(AD.Simplified, K.Properties, EqOpts);
+          ir::discoverEqualities(AD.Simplified, K.Properties, EqOpts,
+                                 &Witnesses);
       AD.NewEqualities = R.NewEqualities;
       if (R.NewEqualities > 0) {
         AD.Prov.Stage = "equality-discovery";
@@ -247,6 +254,31 @@ std::string PipelineResult::summary() const {
     Out += "\n";
   }
   return Out;
+}
+
+std::string PipelineResult::fingerprint() const {
+  std::string F = Kernel.Name + ":" + KernelCost.str() + "\n";
+  for (const AnalyzedDependence &D : Deps) {
+    F += D.Dep.label() + "|" + depStatusName(D.Status) + "|" +
+         D.CostBefore.str() + "->" + D.CostAfter.str() + "|eq=" +
+         std::to_string(D.NewEqualities) + "|by=" + D.SubsumedBy + "|" +
+         (D.Approximated ? "approx|" : "exact|") + D.Prov.Stage;
+    for (const std::string &E : D.Prov.Evidence)
+      F += ";" + E;
+    if (D.HasCore) {
+      F += std::string("\n  core|") +
+           (D.Core.FromFarkas ? "farkas|" : "coarse|") +
+           (D.Core.Minimized ? "minimized" : "raw");
+      for (const std::string &A : D.Core.Assertions)
+        F += ";" + A;
+      for (const std::string &A : D.InferredCited)
+        F += ";inferred:" + A;
+    }
+    if (D.Status == DepStatus::Runtime && D.Plan.Valid)
+      F += "\n" + D.Plan.emitC("inspect");
+    F += "\n";
+  }
+  return F;
 }
 
 std::string PipelineResult::toJSON() const {

@@ -127,12 +127,13 @@ void gaussResiduals(const Flattened &F,
 
 EqualityDiscoveryResult discoverEqualities(SparseRelation &R,
                                            const PropertySet &PS,
-                                           const SimplifyOptions &Opts) {
+                                           const SimplifyOptions &Opts,
+                                           WitnessPool *Pool) {
   EqualityDiscoveryResult Result;
 
   InstantiationStats Stats;
-  Conjunction Aug =
-      instantiatePhase1(R.Conj, PS.assertions(), Opts, &Stats, nullptr);
+  Conjunction Aug = instantiatePhase1(R.Conj, PS.assertions(), Opts, &Stats,
+                                      nullptr, nullptr, Pool);
   // Every equality found below is a consequence of the applied instances,
   // so their labels form a (coarse but sound) core for the rewrite.
   Result.UsedLabels = std::move(Stats.UsedLabels);

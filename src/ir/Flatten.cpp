@@ -6,8 +6,12 @@
 
 #include "sds/ir/Flatten.h"
 
+#include "sds/obs/Metrics.h"
+
 #include <algorithm>
 #include <cassert>
+#include <cstddef>
+#include <cstdint>
 
 namespace sds {
 namespace ir {
@@ -81,6 +85,60 @@ Flattened flatten(const SparseRelation &R) {
   for (const std::string &P : R.params())
     Order.push_back(P);
   return flatten(R.Conj, Order);
+}
+
+presburger::Ternary WitnessPool::isEmpty(const presburger::BasicSet &Set,
+                                         const std::vector<std::string> &Names,
+                                         unsigned Budget,
+                                         presburger::EmptinessCore *Core) {
+  static obs::MetricCounter &Hits =
+      obs::metricCounter("presburger.witness_hits");
+  assert(Names.size() == Set.numVars() && "one name per column");
+  std::vector<unsigned> ColId(Names.size());
+  for (size_t C = 0; C < Names.size(); ++C) {
+    auto It = Ids.find(Names[C]);
+    ColId[C] = It == Ids.end() ? UINT32_MAX : It->second;
+  }
+  std::vector<int64_t> Candidate(Names.size());
+  for (size_t P = 0; P < Points.size(); ++P) {
+    const Point &Pt = Points[P];
+    bool Covered = true;
+    for (size_t C = 0; C < ColId.size() && Covered; ++C) {
+      unsigned Id = ColId[C];
+      Covered = Id < Pt.Known.size() && Pt.Known[Id];
+      if (Covered)
+        Candidate[C] = Pt.Values[Id];
+    }
+    if (!Covered || !Set.contains(Candidate))
+      continue;
+    auto It = Points.begin() + static_cast<std::ptrdiff_t>(P);
+    std::rotate(Points.begin(), It, It + 1);
+    if (Core) {
+      Core->Rows.clear();
+      Core->Valid = false;
+    }
+    Hits.add();
+    return presburger::Ternary::False;
+  }
+  std::vector<int64_t> Witness;
+  presburger::Ternary R = Set.isEmpty(Budget, Core, &Witness);
+  if (R != presburger::Ternary::False)
+    return R;
+  assert(Witness.size() == Names.size() && "False verdicts carry a point");
+  for (size_t C = 0; C < Names.size(); ++C)
+    if (ColId[C] == UINT32_MAX)
+      ColId[C] =
+          Ids.emplace(Names[C], static_cast<unsigned>(Ids.size())).first->second;
+  Point Pt{std::vector<int64_t>(Ids.size(), 0),
+           std::vector<bool>(Ids.size(), false)};
+  for (size_t C = 0; C < Names.size(); ++C) {
+    Pt.Values[ColId[C]] = Witness[C];
+    Pt.Known[ColId[C]] = true;
+  }
+  Points.insert(Points.begin(), std::move(Pt));
+  if (Points.size() > kMaxPoints)
+    Points.pop_back();
+  return R;
 }
 
 } // namespace ir

@@ -256,9 +256,11 @@ instantiatePhase1(const Conjunction &C,
                   const std::vector<UniversalAssertion> &Assertions,
                   const SimplifyOptions &Opts, InstantiationStats *Stats,
                   std::vector<AssertionInstance> *Phase2,
-                  OriginMap *Origins) {
+                  OriginMap *Origins, WitnessPool *Pool) {
   InstantiationStats Local;
   InstantiationStats &S = Stats ? *Stats : Local;
+  WitnessPool LocalPool;
+  WitnessPool &Witnesses = Pool ? *Pool : LocalPool;
 
   Conjunction Aug = C;
   if (Origins) {
@@ -299,7 +301,10 @@ instantiatePhase1(const Conjunction &C,
   // Aug && !P. Budgeted: each probe is one (cheap) LP/branch-and-bound
   // run with a small node budget (rational infeasibility decides almost
   // every probe). Positive results are cached forever (Aug only grows);
-  // negative results are cached per pass.
+  // negative results are cached per pass. Most probes find Aug && !P
+  // non-empty; the witness pool answers those from points earlier probes
+  // found (points survive RefreshCalls: each is re-checked against the
+  // full row set of every probe).
   std::map<std::string, ProbeResult> ProbeCache;
   // Map a probe's integer-level emptiness core back onto Aug's constraints
   // (the probe set is AugFlat.Set plus one trailing inequality — the
@@ -345,12 +350,13 @@ instantiatePhase1(const Conjunction &C,
       }
       presburger::BasicSet Probe = AugFlat.Set;
       Probe.addInequality(std::move(Row));
-      if (!Origins)
-        return Probe.isEmpty(Budget) == presburger::Ternary::True;
       presburger::EmptinessCore EC;
-      if (Probe.isEmpty(Budget, &EC) != presburger::Ternary::True)
+      if (Witnesses.isEmpty(Probe, AugFlat.Names, Budget,
+                            Origins ? &EC : nullptr) !=
+          presburger::Ternary::True)
         return false;
-      ProbeSupport(EC, PR.Support);
+      if (Origins)
+        ProbeSupport(EC, PR.Support);
       return true;
     };
     if (!P.isEq()) {
@@ -512,14 +518,14 @@ namespace {
 /// DNF small during phase 2. Pruned pieces are part of the final proof, so
 /// their citations are recorded in `CC` like any other piece's.
 void prunePieces(std::vector<Conjunction> &Pieces, const SparseRelation &R,
-                 unsigned Budget, CoreCollector *CC) {
+                 unsigned Budget, CoreCollector *CC, WitnessPool &Witnesses) {
   std::vector<Conjunction> Kept;
   for (Conjunction &Piece : Pieces) {
     SparseRelation Tmp = R;
     Tmp.Conj = Piece;
     Flattened F = flatten(Tmp);
     presburger::EmptinessCore EC;
-    if (F.Set.isEmpty(Budget, CC ? &EC : nullptr) ==
+    if (Witnesses.isEmpty(F.Set, F.Names, Budget, CC ? &EC : nullptr) ==
         presburger::Ternary::True) {
       notePieceEmpty(CC, F, Piece, EC);
       continue;
@@ -536,7 +542,7 @@ void applyDisjunctiveInstance(std::vector<Conjunction> &Pieces,
                               const AssertionInstance &Inst,
                               const SparseRelation &R,
                               const SimplifyOptions &Opts, bool &Overflowed,
-                              CoreCollector *CC) {
+                              CoreCollector *CC, WitnessPool &Witnesses) {
   std::vector<Conjunction> Next;
   for (const Conjunction &Piece : Pieces) {
     // Branch 1: the consequent holds.
@@ -562,7 +568,7 @@ void applyDisjunctiveInstance(std::vector<Conjunction> &Pieces,
     }
   }
   if (Next.size() > Opts.MaxPieces)
-    prunePieces(Next, R, /*Budget=*/8, CC);
+    prunePieces(Next, R, /*Budget=*/8, CC, Witnesses);
   if (Next.size() > Opts.MaxPieces) {
     Overflowed = true;
     return; // caller keeps the previous piece list
@@ -572,14 +578,15 @@ void applyDisjunctiveInstance(std::vector<Conjunction> &Pieces,
 
 bool allPiecesProvenEmpty(const std::vector<Conjunction> &Pieces,
                           const SparseRelation &R,
-                          const SimplifyOptions &Opts, CoreCollector *CC) {
+                          const SimplifyOptions &Opts, CoreCollector *CC,
+                          WitnessPool &Witnesses) {
   for (const Conjunction &Piece : Pieces) {
     SparseRelation Tmp = R;
     Tmp.Conj = Piece;
     Flattened F = flatten(Tmp);
     presburger::EmptinessCore EC;
-    if (F.Set.isEmpty(Opts.EmptinessBudget, CC ? &EC : nullptr) !=
-        presburger::Ternary::True)
+    if (Witnesses.isEmpty(F.Set, F.Names, Opts.EmptinessBudget,
+                          CC ? &EC : nullptr) != presburger::Ternary::True)
       return false;
     notePieceEmpty(CC, F, Piece, EC);
   }
@@ -590,7 +597,8 @@ bool allPiecesProvenEmpty(const std::vector<Conjunction> &Pieces,
 
 static bool provenUnsatWithAssertions(
     const SparseRelation &R, const std::vector<UniversalAssertion> &Assertions,
-    const SimplifyOptions &Opts, InstantiationStats *Stats, UnsatCore *Core) {
+    const SimplifyOptions &Opts, InstantiationStats *Stats, UnsatCore *Core,
+    WitnessPool &Witnesses) {
   InstantiationStats Local;
   InstantiationStats &S = Stats ? *Stats : Local;
   size_t LabelsBefore = S.UsedLabels.size();
@@ -603,7 +611,7 @@ static bool provenUnsatWithAssertions(
 
   std::vector<AssertionInstance> Phase2;
   Conjunction Aug = instantiatePhase1(R.Conj, Assertions, Opts, &S, &Phase2,
-                                      Origins);
+                                      Origins, &Witnesses);
 
   // Assemble the final core: the fine row-level citations when every piece
   // attributed cleanly, otherwise the coarse applied-instance trail (which
@@ -634,7 +642,7 @@ static bool provenUnsatWithAssertions(
   };
 
   std::vector<Conjunction> Pieces{Aug};
-  if (allPiecesProvenEmpty(Pieces, R, Opts, CC))
+  if (allPiecesProvenEmpty(Pieces, R, Opts, CC, Witnesses))
     return Finish(true);
 
   // Phase 2: add disjunction-introducing instances under the caps.
@@ -663,7 +671,8 @@ static bool provenUnsatWithAssertions(
       }
     }
     bool Overflowed = false;
-    applyDisjunctiveInstance(Pieces, Inst, R, Opts, Overflowed, CC);
+    applyDisjunctiveInstance(Pieces, Inst, R, Opts, Overflowed, CC,
+                             Witnesses);
     if (Overflowed) {
       ++S.Dropped;
       continue;
@@ -681,7 +690,7 @@ static bool provenUnsatWithAssertions(
 
   if (Used == 0)
     return Finish(false); // nothing new to try
-  return Finish(allPiecesProvenEmpty(Pieces, R, Opts, CC));
+  return Finish(allPiecesProvenEmpty(Pieces, R, Opts, CC, Witnesses));
 }
 
 namespace {
@@ -700,7 +709,8 @@ std::string labelBase(const std::string &L) {
 /// costs a full proof, so the loop is budget-capped.
 void minimizeCore(const SparseRelation &R,
                   const std::vector<UniversalAssertion> &All,
-                  const SimplifyOptions &Opts, UnsatCore &Core) {
+                  const SimplifyOptions &Opts, UnsatCore &Core,
+                  WitnessPool &Witnesses) {
   SimplifyOptions Sub = Opts;
   Sub.CoreMinimizeBudget = 0;
   std::set<std::string> AssertLabels;
@@ -728,7 +738,8 @@ void minimizeCore(const SparseRelation &R,
       if (A.Label != B && Live.count(A.Label))
         Subset.push_back(A);
     UnsatCore Trial;
-    if (!provenUnsatWithAssertions(R, Subset, Sub, nullptr, &Trial))
+    if (!provenUnsatWithAssertions(R, Subset, Sub, nullptr, &Trial,
+                                   Witnesses))
       continue;
     Core = std::move(Trial);
     Live.clear();
@@ -745,21 +756,26 @@ void minimizeCore(const SparseRelation &R,
 
 bool provenUnsat(const SparseRelation &R, const PropertySet &PS,
                  const SimplifyOptions &Opts, InstantiationStats *Stats,
-                 UnsatCore *Core) {
+                 UnsatCore *Core, WitnessPool *Pool) {
+  WitnessPool LocalPool;
+  WitnessPool &Witnesses = Pool ? *Pool : LocalPool;
   bool Proven = provenUnsatWithAssertions(R, PS.assertions(), Opts, Stats,
-                                          Core);
+                                          Core, Witnesses);
   if (Proven && Core && Opts.CoreMinimizeBudget > 0)
-    minimizeCore(R, PS.assertions(), Opts, *Core);
+    minimizeCore(R, PS.assertions(), Opts, *Core, Witnesses);
   return Proven;
 }
 
 bool provenUnsatAffineOnly(const SparseRelation &R,
                            const SimplifyOptions &Opts,
-                           InstantiationStats *Stats, UnsatCore *Core) {
+                           InstantiationStats *Stats, UnsatCore *Core,
+                           WitnessPool *Pool) {
   // No property assertions: functional-consistency guards only (these are
   // always sound, independent of any domain knowledge), so any core here
   // needs no runtime validation at all.
-  return provenUnsatWithAssertions(R, {}, Opts, Stats, Core);
+  WitnessPool LocalPool;
+  return provenUnsatWithAssertions(R, {}, Opts, Stats, Core,
+                                   Pool ? *Pool : LocalPool);
 }
 
 } // namespace ir

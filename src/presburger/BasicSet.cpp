@@ -354,10 +354,12 @@ struct CachedCore {
 
 /// What the exact-key cache stores: the verdict plus, for True emptiness
 /// verdicts, the proof's core rows (null for subset entries and for
-/// verdicts whose proof predates core support).
+/// verdicts whose proof predates core support), and for False emptiness
+/// verdicts the integer point the solver found.
 struct CacheValue {
   Ternary V = Ternary::Unknown;
   std::shared_ptr<const CachedCore> Core;
+  std::vector<int64_t> Witness;
 };
 
 /// Canonical bytes of one (IsEq, row) pair — the currency of the
@@ -428,13 +430,14 @@ struct QueryCache {
   }
 
   void store(const std::string &Key, Ternary V,
-             std::shared_ptr<const CachedCore> Core = nullptr) {
+             std::shared_ptr<const CachedCore> Core = nullptr,
+             std::vector<int64_t> Witness = {}) {
     if (V == Ternary::Unknown)
       return; // budget-dependent; another query may still resolve it
     Shard &S = shardFor(Key);
     std::lock_guard<std::mutex> Lock(S.M);
     if (S.Map.size() < MaxEntriesPerShard)
-      S.Map.emplace(Key, CacheValue{V, std::move(Core)});
+      S.Map.emplace(Key, CacheValue{V, std::move(Core), std::move(Witness)});
   }
 };
 
@@ -920,13 +923,16 @@ void recordCoreSize(size_t N) {
 
 } // namespace
 
-Ternary BasicSet::isEmpty(unsigned NodeBudget, EmptinessCore *Core) const {
+Ternary BasicSet::isEmpty(unsigned NodeBudget, EmptinessCore *Core,
+                          std::vector<int64_t> *Witness) const {
   static obs::Counter &Checks = obs::counter("basicset.emptiness_checks");
   Checks.add();
   if (Core) {
     Core->Rows.clear();
     Core->Valid = false;
   }
+  if (Witness)
+    Witness->clear();
   // Normalize once, carrying a tag per row; the prefilter ladder, the
   // cache key, the solver, and core attribution all reuse the result.
   TaggedSet T(*this);
@@ -983,6 +989,9 @@ Ternary BasicSet::isEmpty(unsigned NodeBudget, EmptinessCore *Core) const {
         Core->Valid = true;
       }
     }
+    // Same canonical rows, same points: the stored point lies in this set.
+    if (Witness && Hit->V == Ternary::False)
+      *Witness = std::move(Hit->Witness);
     return Hit->V;
   }
   // Exact-key miss: a previously proven core whose rows all appear in
@@ -1009,9 +1018,9 @@ Ternary BasicSet::isEmpty(unsigned NodeBudget, EmptinessCore *Core) const {
     noteDeadlineExhaustion();
     return Ternary::Unknown;
   }
-  std::vector<int64_t> Ignored;
+  std::vector<int64_t> Point;
   std::vector<uint32_t> CoreTags;
-  Ternary R = EmptinessCheckerImpl(NodeBudget).run(T, Ignored, &CoreTags);
+  Ternary R = EmptinessCheckerImpl(NodeBudget).run(T, Point, &CoreTags);
   if (R == Ternary::True) {
     sortUniqueTags(CoreTags);
     std::shared_ptr<const CachedCore> CC = contentCoreFromTags(T, CoreTags);
@@ -1022,8 +1031,10 @@ Ternary BasicSet::isEmpty(unsigned NodeBudget, EmptinessCore *Core) const {
       Core->Rows = std::move(CoreTags);
       Core->Valid = CC != nullptr;
     }
-  } else {
-    QC.store(Key, R);
+  } else if (R == Ternary::False) {
+    if (Witness)
+      *Witness = Point;
+    QC.store(Key, R, nullptr, std::move(Point));
   }
   return R;
 }
@@ -1033,30 +1044,79 @@ BasicSet::sampleIntegerPoint(unsigned NodeBudget) const {
   static obs::Counter &Samples = obs::counter("basicset.samples");
   Samples.add();
   std::vector<int64_t> Point;
-  if (EmptinessCheckerImpl(NodeBudget).run(TaggedSet(*this), Point,
-                                           /*CoreTags=*/nullptr) ==
-      Ternary::False)
+  if (isEmpty(NodeBudget, nullptr, &Point) == Ternary::False)
     return Point;
   return std::nullopt;
+}
+
+/// Exact value of `Row . (Point, 1)`; nullopt on 128-bit overflow.
+static std::optional<Int128> rowValue(const std::vector<int64_t> &Row,
+                                      const std::vector<int64_t> &Point) {
+  Int128 V = Row.back();
+  for (size_t J = 0; J < Point.size(); ++J)
+    if (addOverflow128(V, Int128(Row[J]) * Point[J], V))
+      return std::nullopt;
+  return V;
+}
+
+bool BasicSet::contains(const std::vector<int64_t> &Point) const {
+  assert(Point.size() == NumVars && "bad point width");
+  for (const auto &R : Eqs) {
+    std::optional<Int128> V = rowValue(R, Point);
+    if (!V || *V != 0)
+      return false;
+  }
+  for (const auto &R : Ineqs) {
+    std::optional<Int128> V = rowValue(R, Point);
+    if (!V || *V < 0)
+      return false;
+  }
+  return true;
 }
 
 unsigned BasicSet::detectImplicitEqualities(unsigned NodeBudget) {
   if (!normalize())
     return 0;
+  // Integer points of the set found by earlier probes. Promoting a row
+  // that is tight on every integer point leaves the points unchanged, so
+  // they stay valid, and a row that is >= 1 at one of them is not tight.
+  std::vector<std::vector<int64_t>> Points;
+  // Parallel to Ineqs: the row is known not to be tight. Only rows whose
+  // probe answered Unknown are probed again after a promotion (which
+  // changes the constraint system the solver sees, not its points).
+  std::vector<bool> Slack(Ineqs.size(), false);
   unsigned Promoted = 0;
   bool Changed = true;
   while (Changed) {
     Changed = false;
     for (size_t I = 0; I < Ineqs.size(); ++I) {
+      if (Slack[I])
+        continue;
+      for (const auto &P : Points) {
+        std::optional<Int128> V = rowValue(Ineqs[I], P);
+        if (V && *V >= 1) {
+          Slack[I] = true;
+          break;
+        }
+      }
+      if (Slack[I])
+        continue;
       // Is (row >= 1) infeasible within the set? Then row == 0 everywhere.
       BasicSet Probe = *this;
       std::vector<int64_t> Strict = Ineqs[I];
       Strict[NumVars] -= 1;
       Probe.addInequality(std::move(Strict));
-      if (Probe.isEmpty(NodeBudget) != Ternary::True)
+      std::vector<int64_t> Point;
+      Ternary R = Probe.isEmpty(NodeBudget, nullptr, &Point);
+      if (R == Ternary::False) {
+        Slack[I] = true;
+        Points.push_back(std::move(Point));
+      }
+      if (R != Ternary::True)
         continue;
       Eqs.push_back(Ineqs[I]);
       Ineqs.erase(Ineqs.begin() + static_cast<std::ptrdiff_t>(I));
+      Slack.erase(Slack.begin() + static_cast<std::ptrdiff_t>(I));
       --I;
       ++Promoted;
       Changed = true;

@@ -6,10 +6,18 @@
 
 #include "sds/ir/Flatten.h"
 #include "sds/ir/Parser.h"
+#include "sds/obs/Metrics.h"
+#include "sds/obs/Trace.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <random>
+
+using namespace sds;
 using namespace sds::ir;
+using sds::presburger::BasicSet;
+using sds::presburger::EmptinessCore;
 using sds::presburger::Ternary;
 
 namespace {
@@ -102,4 +110,126 @@ TEST(Flatten, VarOrderRespected) {
   // b - a - 1 >= 0 with b in column 0.
   EXPECT_EQ(F.Set.inequalities()[0],
             (std::vector<int64_t>{1, -1, -1}));
+}
+
+//===----------------------------------------------------------------------===//
+// WitnessPool: points from earlier solves answer later non-empty queries.
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// Turns tracing (simplex.* counters) and metrics (witness_hits) on for
+/// one test and restores both afterwards.
+struct CountersOn {
+  CountersOn() {
+    obs::setEnabled(true);
+    obs::setMetricsEnabled(true);
+  }
+  ~CountersOn() {
+    obs::setEnabled(false);
+    obs::setMetricsEnabled(false);
+  }
+};
+
+uint64_t solves() { return obs::counter("simplex.solves").value(); }
+uint64_t witnessHits() {
+  return obs::metricCounter("presburger.witness_hits").value();
+}
+
+} // namespace
+
+TEST(WitnessPool, HitIssuesNoSolve) {
+  CountersOn On;
+  presburger::clearQueryCache();
+  WitnessPool Pool;
+  // x == 2 && y == 3 over columns (x, y): the solve's point is (2, 3).
+  BasicSet A(2);
+  A.addEquality({1, 0, -2});
+  A.addEquality({0, 1, -3});
+  uint64_t S0 = solves(), H0 = witnessHits();
+  EXPECT_EQ(Pool.isEmpty(A, {"x", "y"}, 64), Ternary::False);
+  EXPECT_GT(solves(), S0);
+  EXPECT_EQ(Pool.size(), 1u);
+
+  // Another system over the same atoms in another column order (y, x):
+  // x <= y && x + y <= 10 holds at x = 2, y = 3. No solve, one hit.
+  BasicSet B(2);
+  B.addInequality({1, -1, 0});
+  B.addInequality({-1, -1, 10});
+  uint64_t S1 = solves();
+  EmptinessCore Core;
+  Core.Valid = true;
+  EXPECT_EQ(Pool.isEmpty(B, {"y", "x"}, 64, &Core), Ternary::False);
+  EXPECT_EQ(solves(), S1);
+  EXPECT_EQ(witnessHits(), H0 + 1);
+  EXPECT_FALSE(Core.Valid);
+  EXPECT_EQ(Pool.size(), 1u);
+
+  // A column no stored point covers (z) falls through to the solver.
+  BasicSet C(3);
+  C.addInequality({1, -1, 0, 0});
+  EXPECT_EQ(Pool.isEmpty(C, {"y", "x", "z"}, 64), Ternary::False);
+  EXPECT_GT(solves(), S1);
+  EXPECT_EQ(witnessHits(), H0 + 1);
+  EXPECT_EQ(Pool.size(), 2u);
+
+  // An empty set is still proven empty by the solver, core included.
+  BasicSet E(2);
+  E.addInequality({1, 0, -5});  // x >= 5
+  E.addInequality({-1, 0, 4});  // x <= 4
+  EXPECT_EQ(Pool.isEmpty(E, {"x", "y"}, 64, &Core), Ternary::True);
+  EXPECT_TRUE(Core.Valid);
+  EXPECT_EQ(Core.Rows, (std::vector<uint32_t>{0, 1}));
+}
+
+TEST(WitnessPool, AnswersMatchDirectSolvesOnRandomSystems) {
+  CountersOn On;
+  const std::vector<std::string> Universe{"a", "b", "c", "d"};
+  uint64_t H0 = witnessHits();
+  for (unsigned Seed = 0; Seed < 40; ++Seed) {
+    std::mt19937 Rng(Seed);
+    std::uniform_int_distribution<int> Coef(-2, 2), Cst(-3, 3), Rows(1, 3),
+        Width(2, 4);
+    WitnessPool Pool;
+    for (int Q = 0; Q < 30; ++Q) {
+      std::vector<std::string> Names = Universe;
+      std::shuffle(Names.begin(), Names.end(), Rng);
+      Names.resize(static_cast<size_t>(Width(Rng)));
+      unsigned N = static_cast<unsigned>(Names.size());
+      BasicSet S(N);
+      for (unsigned J = 0; J < N; ++J) { // box [-3, 3]
+        std::vector<int64_t> Lo(N + 1, 0), Hi(N + 1, 0);
+        Lo[J] = 1;
+        Lo[N] = 3;
+        Hi[J] = -1;
+        Hi[N] = 3;
+        S.addInequality(Lo);
+        S.addInequality(Hi);
+      }
+      for (int R = Rows(Rng); R > 0; --R) {
+        std::vector<int64_t> Row(N + 1);
+        for (auto &C : Row)
+          C = Coef(Rng);
+        Row[N] = Cst(Rng);
+        if (Coef(Rng) > 1)
+          S.addEquality(Row);
+        else
+          S.addInequality(Row);
+      }
+      EmptinessCore Want, Got;
+      Ternary Direct = S.isEmpty(64, &Want);
+      Ternary Pooled = Pool.isEmpty(S, Names, 64, &Got);
+      ASSERT_EQ(Pooled == Ternary::True, Direct == Ternary::True)
+          << "seed " << Seed << " query " << Q << ": " << S.str(Names);
+      if (Direct != Ternary::Unknown) {
+        EXPECT_EQ(Pooled, Direct) << S.str(Names);
+      }
+      if (Direct == Ternary::True) {
+        EXPECT_EQ(Got.Rows, Want.Rows) << S.str(Names);
+        EXPECT_EQ(Got.Valid, Want.Valid) << S.str(Names);
+      }
+    }
+  }
+  // The sweep exercised the pool, not only the solver.
+  EXPECT_GT(witnessHits(), H0);
 }

@@ -8,6 +8,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "sds/ir/Flatten.h"
 #include "sds/ir/Parser.h"
 #include "sds/ir/Simplify.h"
 
@@ -282,4 +283,58 @@ TEST(InstantiatePhase1, InstanceCapRespected) {
   InstantiationStats Stats;
   instantiatePhase1(R.Conj, PS.assertions(), Opts, &Stats, nullptr);
   EXPECT_LE(Stats.Generated, 10u);
+}
+
+//===----------------------------------------------------------------------===//
+// Witness pool: sharing points across proofs changes no result.
+//===----------------------------------------------------------------------===//
+
+TEST(WitnessPool, SharedPoolLeavesProofsAndEqualitiesUnchanged) {
+  // Unsat and satisfiable relations over overlapping atoms, run twice
+  // through one shared pool (the second pass starts warm) and each time
+  // against private pools: verdicts, cores and equalities must agree.
+  const char *Texts[] = {
+      "{ [i] -> [i'] : exists(m, k') : i < i' && m = k' && "
+      "0 <= i < n && 0 <= i' < n && rowptr(i - 1) <= m < rowptr(i) && "
+      "rowptr(i') <= k' < rowptr(i' + 1) }",
+      "{ [i] -> [i'] : exists(k) : i < i' && col(k) = i' && "
+      "rowptr(i) <= k < rowptr(i + 1) && 0 <= i < n && 0 <= i' < n }",
+      "{ [i] -> [i'] : exists(k') : i < i' && i = col(k') && "
+      "0 <= i < n && 0 <= i' < n && rowptr(i') <= k' < rowptr(i' + 1) }",
+      "{ [i] : exists(k1, k2) : rowptr(i) <= k1 < k2 && "
+      "k2 < rowptr(i + 1) && col(k1) = col(k2) }",
+      "{ [i] -> [i'] : i < i' && f(i') <= f(g(i)) && g(i) <= i' && "
+      "0 <= i < n && 0 <= i' < n }",
+      "{ [i, j] : 0 <= i <= 1 && 0 <= j <= 1 && i <= j && "
+      "f(0) = 10 && f(1) = 20 && f(i) + f(j) = 25 }",
+  };
+  PropertySet PS;
+  PS.add(PropertyKind::MonotonicIncreasing, "rowptr");
+  PS.add(PropertyKind::PeriodicMonotonic, "col", "rowptr");
+  PS.add(PropertyKind::TriangularEntriesLE, "col", "rowptr");
+  PS.add(PropertyKind::StrictMonotonicIncreasing, "f");
+  WitnessPool Shared;
+  for (int Pass = 0; Pass < 2; ++Pass) {
+    for (const char *Text : Texts) {
+      SparseRelation R = parse(Text);
+      UnsatCore Fresh, Pooled;
+      EXPECT_EQ(provenUnsatAffineOnly(R, {}, nullptr, &Fresh),
+                provenUnsatAffineOnly(R, {}, nullptr, &Pooled, &Shared))
+          << Text;
+      EXPECT_EQ(Fresh.Assertions, Pooled.Assertions) << Text;
+      EXPECT_EQ(provenUnsat(R, PS, {}, nullptr, &Fresh),
+                provenUnsat(R, PS, {}, nullptr, &Pooled, &Shared))
+          << Text;
+      EXPECT_EQ(Fresh.Assertions, Pooled.Assertions) << Text;
+      EXPECT_EQ(Fresh.FromFarkas, Pooled.FromFarkas) << Text;
+      EXPECT_EQ(Fresh.Minimized, Pooled.Minimized) << Text;
+      SparseRelation A = R, B = R;
+      EqualityDiscoveryResult EA = discoverEqualities(A, PS);
+      EqualityDiscoveryResult EB = discoverEqualities(B, PS, {}, &Shared);
+      EXPECT_EQ(EA.EqualityStrings, EB.EqualityStrings) << Text;
+      EXPECT_EQ(EA.UsedLabels, EB.UsedLabels) << Text;
+      EXPECT_EQ(A.str(), B.str()) << Text;
+    }
+  }
+  EXPECT_GT(Shared.size(), 0u);
 }

@@ -27,32 +27,15 @@ using namespace sds::deps;
 
 namespace {
 
-/// Everything about a result that must not depend on the thread count.
-std::string fingerprint(const PipelineResult &R) {
-  std::string F = R.Kernel.Name + ":" + R.KernelCost.str() + "\n";
-  for (const AnalyzedDependence &D : R.Deps) {
-    F += D.Dep.label() + "|" + depStatusName(D.Status) + "|" +
-         D.CostBefore.str() + "->" + D.CostAfter.str() + "|eq=" +
-         std::to_string(D.NewEqualities) + "|by=" + D.SubsumedBy + "|" +
-         (D.Approximated ? "approx|" : "exact|") + D.Prov.Stage;
-    for (const std::string &E : D.Prov.Evidence)
-      F += ";" + E;
-    if (D.Status == DepStatus::Runtime && D.Plan.Valid)
-      F += "\n" + D.Plan.emitC("inspect");
-    F += "\n";
-  }
-  return F;
-}
-
 void expectThreadCountInvariant(const kernels::Kernel &K,
                                 PipelineOptions Opts) {
   Opts.NumThreads = 1;
   PipelineResult Serial = analyzeKernel(K, Opts);
-  std::string Want = fingerprint(Serial);
+  std::string Want = Serial.fingerprint();
   for (int NT : {2, 3, 8}) {
     Opts.NumThreads = NT;
     PipelineResult R = analyzeKernel(K, Opts);
-    EXPECT_EQ(Want, fingerprint(R))
+    EXPECT_EQ(Want, R.fingerprint())
         << K.Name << " diverged at NumThreads=" << NT;
     // The per-stage timing map must cover the same stages (values are
     // wall time and may differ).
@@ -123,6 +106,6 @@ TEST(PipelineParallel, MoreThreadsThanDependences) {
   Opts.NumThreads = 64; // clamps to the dependence count internally
   PipelineResult R = analyzeKernel(kernels::spmvCSR(), Opts);
   Opts.NumThreads = 1;
-  EXPECT_EQ(fingerprint(analyzeKernel(kernels::spmvCSR(), Opts)),
-            fingerprint(R));
+  EXPECT_EQ(analyzeKernel(kernels::spmvCSR(), Opts).fingerprint(),
+            R.fingerprint());
 }

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <random>
 
 using namespace sds::presburger;
@@ -381,8 +382,109 @@ TEST_P(BasicSetRandomized, ProjectionIsSupersetAndExactWhenClaimed) {
   }
 }
 
+TEST_P(BasicSetRandomized, FalseVerdictReturnsPointOfTheSet) {
+  clearQueryCache();
+  std::mt19937 Rng(static_cast<unsigned>(GetParam()) + 3000);
+  BasicSet S = randomBoxedSet(Rng, 3, 3);
+  auto Pts = enumerateBox(S, 3);
+  // The second query is a cache hit; the cached point must come back too.
+  for (int Pass = 0; Pass < 2; ++Pass) {
+    std::vector<int64_t> W{7}; // stale content must be cleared
+    Ternary T = S.isEmpty(/*NodeBudget=*/256, nullptr, &W);
+    ASSERT_NE(T, Ternary::Unknown) << S.str();
+    if (T == Ternary::True) {
+      EXPECT_TRUE(W.empty());
+      continue;
+    }
+    ASSERT_EQ(W.size(), 3u) << S.str();
+    EXPECT_TRUE(S.contains(W)) << S.str();
+    EXPECT_NE(std::find(Pts.begin(), Pts.end(), W), Pts.end()) << S.str();
+  }
+}
+
+namespace {
+
+/// Reference for detectImplicitEqualities: re-probe every remaining
+/// inequality until a full pass promotes nothing. Skipping rows a known
+/// point shows to be slack, and re-probing only Unknown rows, must give
+/// exactly this output with fewer probes.
+BasicSet exhaustiveImplicitEqualities(BasicSet S, unsigned Budget) {
+  if (!S.normalize())
+    return S;
+  std::vector<std::vector<int64_t>> Eqs = S.equalities();
+  std::vector<std::vector<int64_t>> Ineqs = S.inequalities();
+  unsigned N = S.numVars();
+  bool Changed = true;
+  while (Changed) {
+    Changed = false;
+    for (size_t I = 0; I < Ineqs.size(); ++I) {
+      BasicSet Probe(N);
+      for (const auto &R : Eqs)
+        Probe.addEquality(R);
+      for (const auto &R : Ineqs)
+        Probe.addInequality(R);
+      std::vector<int64_t> Strict = Ineqs[I];
+      Strict[N] -= 1;
+      Probe.addInequality(Strict);
+      if (Probe.isEmpty(Budget) != Ternary::True)
+        continue;
+      Eqs.push_back(Ineqs[I]);
+      Ineqs.erase(Ineqs.begin() + static_cast<std::ptrdiff_t>(I));
+      --I;
+      Changed = true;
+    }
+  }
+  BasicSet Out(N);
+  for (const auto &R : Eqs)
+    Out.addEquality(R);
+  for (const auto &R : Ineqs)
+    Out.addInequality(R);
+  return Out;
+}
+
+} // namespace
+
+TEST_P(BasicSetRandomized, ImplicitEqualitiesMatchExhaustiveRescan) {
+  std::mt19937 Rng(static_cast<unsigned>(GetParam()) + 4000);
+  BasicSet S = randomBoxedSet(Rng, 3, 3);
+  // Sandwich a random row so some sets do have implied equalities.
+  std::vector<int64_t> Row(4);
+  std::uniform_int_distribution<int> Coef(-2, 2);
+  for (auto &C : Row)
+    C = Coef(Rng);
+  S.addInequality(Row);
+  for (auto &C : Row)
+    C = -C;
+  if (Coef(Rng) > 0)
+    S.addInequality(Row);
+  BasicSet Want = exhaustiveImplicitEqualities(S, 64);
+  BasicSet Got = S;
+  Got.detectImplicitEqualities(64);
+  EXPECT_EQ(Got.equalities(), Want.equalities()) << S.str();
+  EXPECT_EQ(Got.inequalities(), Want.inequalities()) << S.str();
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, BasicSetRandomized,
                          ::testing::Range(0, 40));
+
+TEST(BasicSet, ContainsChecksEveryRowExactly) {
+  BasicSet S(2);
+  S.addEquality(row({1, -1, 0}));   // x == y
+  S.addInequality(row({1, 0, -2})); // x >= 2
+  EXPECT_TRUE(S.contains({3, 3}));
+  EXPECT_FALSE(S.contains({3, 4})); // equality violated
+  EXPECT_FALSE(S.contains({1, 1})); // inequality violated
+  // Products of int64 values are exact in 128 bits: 2 * (2^63 - 1)^2
+  // still fits, so this row is satisfied...
+  BasicSet Two(2);
+  Two.addInequality(row({INT64_MAX, INT64_MAX, 0}));
+  EXPECT_TRUE(Two.contains({INT64_MAX, INT64_MAX}));
+  // ...while a third such term overflows, and an overflowing row counts as
+  // violated (a miss, never a wrapped-around "satisfied").
+  BasicSet Three(3);
+  Three.addInequality(row({INT64_MAX, INT64_MAX, INT64_MAX, 0}));
+  EXPECT_FALSE(Three.contains({INT64_MAX, INT64_MAX, INT64_MAX}));
+}
 
 //===----------------------------------------------------------------------===//
 // Query memoization (emptiness / subset verdict cache).
