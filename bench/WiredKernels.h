@@ -37,8 +37,10 @@ struct WiredKernel {
     sds::codegen::UFEnvironment Env;
     int N = 0;
     std::function<void()> Serial;
-    /// Parallel executor over a schedule of any kind.
-    std::function<void(const sds::rt::CompiledSchedule &)> Scheduled;
+    /// Parallel executor over a schedule of any kind; returns the
+    /// estimate behind its serial-or-parallel choice.
+    std::function<sds::rt::ExecEstimate(const sds::rt::CompiledSchedule &)>
+        Scheduled;
     /// Reset mutable state a run consumes (e.g. Gauss-Seidel's x); empty
     /// when runs are naturally idempotent.
     std::function<void()> Reset;
@@ -74,7 +76,7 @@ inline std::vector<WiredKernel> wiredKernels(bool IncludeHeavy = true) {
       I.N = L->N;
       I.Serial = [=] { forwardSolveCSCSerial(*L, *B, *X); };
       I.Scheduled = [=](const CompiledSchedule &S) {
-        forwardSolveCSCScheduled(*L, *B, *X, S);
+        return forwardSolveCSCScheduled(*L, *B, *X, S);
       };
       I.Output = [=] { return *X; };
       for (int J = 0; J < L->N; ++J)
@@ -98,7 +100,7 @@ inline std::vector<WiredKernel> wiredKernels(bool IncludeHeavy = true) {
       I.N = L->N;
       I.Serial = [=] { forwardSolveCSRSerial(*L, *B, *X); };
       I.Scheduled = [=](const CompiledSchedule &S) {
-        forwardSolveCSRScheduled(*L, *B, *X, S);
+        return forwardSolveCSRScheduled(*L, *B, *X, S);
       };
       I.Output = [=] { return *X; };
       for (int J = 0; J < L->N; ++J)
@@ -123,7 +125,7 @@ inline std::vector<WiredKernel> wiredKernels(bool IncludeHeavy = true) {
       I.N = A->N;
       I.Serial = [=] { gaussSeidelCSRSerial(*A, *B, *X); };
       I.Scheduled = [=](const CompiledSchedule &S) {
-        gaussSeidelCSRScheduled(*A, *B, *X, S);
+        return gaussSeidelCSRScheduled(*A, *B, *X, S);
       };
       I.Reset = [=] { std::fill(X->begin(), X->end(), 0.0); };
       I.Output = [=] { return *X; };
@@ -150,7 +152,7 @@ inline std::vector<WiredKernel> wiredKernels(bool IncludeHeavy = true) {
       };
       I.Scheduled = [=](const CompiledSchedule &S) {
         L->Val = *Original;
-        incompleteCholeskyCSCScheduled(*L, S);
+        return incompleteCholeskyCSCScheduled(*L, S);
       };
       I.Output = [=] { return L->Val; };
       // Column cost ~ nnz of the column times its density window.
@@ -180,7 +182,7 @@ inline std::vector<WiredKernel> wiredKernels(bool IncludeHeavy = true) {
       };
       I.Scheduled = [=](const CompiledSchedule &S) {
         L->Val = *Original;
-        leftCholeskyCSCScheduled(*L, S);
+        return leftCholeskyCSCScheduled(*L, S);
       };
       I.Output = [=] { return L->Val; };
       for (int J = 0; J < L->N; ++J) {

@@ -14,7 +14,8 @@
 // barrier-free P2P, and vectorized schedules, and the end-to-end executor
 // times plus the machine-independent schedule shapes (waves/chunks/run
 // coverage at a fixed 8 threads) land in BENCH_schedule.json for the
-// regression gate.
+// regression gate. Each cell's barrier executor also reports its
+// serial-or-parallel choice (DESIGN.md §14) and its speed against serial.
 //
 //===----------------------------------------------------------------------===//
 
@@ -83,6 +84,10 @@ int main(int argc, char **argv) {
                     {"vector", ScheduleKind::Vector}};
   int Cells = 0, HighWaveCells = 0, HighWaveWins = 0;
   bool AllCertified = true, PullBitIdentical = true, AtomicWithinTol = true;
+  // The barrier executor's choice per cell, and its speed against serial.
+  int SerialCells = 0;
+  double ExecVsSerialMin = HUGE_VAL;
+  std::vector<std::string> ChoiceRows;
 
   driver::InspectorOptions IOpts;
   IOpts.NumThreads = Threads;
@@ -121,16 +126,29 @@ int main(int argc, char **argv) {
         SC.MinWorkPerThread = 256;
         CompiledSchedule CS = buildSchedule(Insp.Graph, SC, I.NodeCost);
         AllCertified &= certifySchedule(Insp.Graph, CS);
+        ExecEstimate E;
         double T = bench::medianTimeOf([&] {
           if (I.Reset)
             I.Reset();
-          I.Scheduled(CS);
+          E = I.Scheduled(CS);
         });
         Sh.Seconds += T;
-        if (Sh.Kind == ScheduleKind::LBC)
+        if (Sh.Kind == ScheduleKind::LBC) {
           CellBarrier = T;
-        else if (Sh.Kind != ScheduleKind::Vector)
+          if (E.serial())
+            ++SerialCells;
+          ExecVsSerialMin = std::min(ExecVsSerialMin, SerialT / T);
+          char Buf[160];
+          std::snprintf(Buf, sizeof(Buf),
+                        "  %-10s @ %-12s %-8s %5.2fx  (predicted serial "
+                        "%.3f ms, parallel %.3f ms)",
+                        K.Name.c_str(), M.Name.c_str(),
+                        E.serial() ? "serial" : "parallel", SerialT / T,
+                        E.SerialNs / 1e6, E.ParallelNs / 1e6);
+          ChoiceRows.push_back(Buf);
+        } else if (Sh.Kind != ScheduleKind::Vector) {
           CellBest = std::min(CellBest, T); // the coalesced/P2P-vs-barrier win
+        }
         if (I.Output && !SerialOut.empty()) {
           std::vector<double> Out = I.Output();
           if (K.PullBased)
@@ -183,6 +201,13 @@ int main(int argc, char **argv) {
                 static_cast<unsigned long long>(Sh.Chunks8));
   std::printf("  high-wave cells (>64 waves @8t): %d, barrier beaten in %d\n",
               HighWaveCells, HighWaveWins);
+  std::printf("\nBarrier executor's choice and serial time / executor time "
+              "per cell:\n");
+  for (const std::string &Row : ChoiceRows)
+    std::printf("%s\n", Row.c_str());
+  std::printf("  %d of %d cells ran serially; lowest executor/serial speed "
+              "%.2fx\n",
+              SerialCells, Cells, Cells ? ExecVsSerialMin : 0.0);
 
   bench::BenchReport Report("fig10");
   Report.set("scale", Scale);
@@ -211,6 +236,9 @@ int main(int argc, char **argv) {
   Sched.set("vector_nodes8", Shapes[3].VectorNodes8);
   Sched.set("high_wave_cells", static_cast<uint64_t>(HighWaveCells));
   Sched.set("high_wave_wins", static_cast<uint64_t>(HighWaveWins));
+  // Machine-dependent like the *_seconds fields: reported, not gated.
+  Sched.set("serial_cells", static_cast<uint64_t>(SerialCells));
+  Sched.set("exec_vs_serial_min", Cells ? ExecVsSerialMin : 0.0);
   Sched.set("certified", static_cast<uint64_t>(AllCertified ? 1 : 0));
   Sched.set("bit_identical_pull",
             static_cast<uint64_t>(PullBitIdentical ? 1 : 0));

@@ -7,7 +7,9 @@
 // inspectors and LBC scheduling. The paper reports 2x-8x on 8 physical
 // cores; on fewer cores the attainable speedup shrinks accordingly, and
 // with a single core the parallel executor can only tie or lose — the
-// hardware note in EXPERIMENTS.md quantifies this machine.
+// hardware note in EXPERIMENTS.md quantifies this machine. Each cell also
+// shows the executor's serial-or-parallel choice (DESIGN.md §14): a cell
+// whose waves are too thin to pay for their barriers runs serially.
 //
 //===----------------------------------------------------------------------===//
 
@@ -74,10 +76,11 @@ int main(int argc, char **argv) {
       SC.MinWorkPerThread = 256;
       CompiledSchedule S = buildSchedule(Insp.Graph, SC, I.NodeCost);
       double SerialT = bench::medianTimeOf(I.Serial);
-      double ExecT = bench::medianTimeOf([&] { I.Scheduled(S); });
+      ExecEstimate E;
+      double ExecT = bench::medianTimeOf([&] { E = I.Scheduled(S); });
       SumSpeedup += SerialT / ExecT;
       ++Cells;
-      std::printf(" %10.2fx", SerialT / ExecT);
+      std::printf(" %8.2fx %c", SerialT / ExecT, E.serial() ? 'S' : 'P');
       std::fflush(stdout);
 
       std::string ShapeRow = K.Name + " @ " + M.Name + ":";
@@ -85,15 +88,16 @@ int main(int argc, char **argv) {
         ScheduleConfig ShapeSC = SC;
         ShapeSC.Kind = Kind;
         CompiledSchedule CS = buildSchedule(Insp.Graph, ShapeSC, I.NodeCost);
+        ExecEstimate ShapeE;
         double ShapeT = bench::medianTimeOf([&] {
           if (I.Reset)
             I.Reset();
-          I.Scheduled(CS);
+          ShapeE = I.Scheduled(CS);
         });
         ShapeSpeedupSum[Label] += SerialT / ShapeT;
         char Buf[48];
-        std::snprintf(Buf, sizeof(Buf), "  %s %.2fx", Label,
-                      SerialT / ShapeT);
+        std::snprintf(Buf, sizeof(Buf), "  %s %.2fx %c", Label,
+                      SerialT / ShapeT, ShapeE.serial() ? 'S' : 'P');
         ShapeRow += Buf;
       }
       ShapeRows.push_back(std::move(ShapeRow));
@@ -121,6 +125,8 @@ int main(int argc, char **argv) {
     std::printf("\n");
     BoundRows.push_back(std::move(Bound));
   }
+  std::printf("(S: the executor ran the cell serially, its waves too thin "
+              "to pay for\nbarriers; P: it ran the schedule in parallel)\n");
   std::printf("\nAvailable parallelism at 8 threads (total work / "
               "critical-path work,\nthe ideal-machine Figure 9):\n");
   for (const std::string &Row : BoundRows)

@@ -169,19 +169,27 @@ void runTraced(const std::string &Key, const kernels::Kernel &K,
 
   std::vector<double> B(static_cast<size_t>(A.N), 1.0);
   std::vector<double> X(static_cast<size_t>(A.N), 0.0);
+  rt::ExecEstimate E;
   if (Key == "fs_csr")
-    rt::forwardSolveCSRScheduled(Lower, B, X, CS);
+    E = rt::forwardSolveCSRScheduled(Lower, B, X, CS);
   else if (Key == "fs_csc")
-    rt::forwardSolveCSCScheduled(L, B, X, CS);
+    E = rt::forwardSolveCSCScheduled(L, B, X, CS);
   else if (Key == "gs_csr")
-    rt::gaussSeidelCSRScheduled(A, B, X, CS);
+    E = rt::gaussSeidelCSRScheduled(A, B, X, CS);
   else if (Key == "ic0_csc")
-    rt::incompleteCholeskyCSCScheduled(L, CS);
+    E = rt::incompleteCholeskyCSCScheduled(L, CS);
   else if (Key == "lchol_csc")
-    rt::leftCholeskyCSCScheduled(L, CS);
-  else
+    E = rt::leftCholeskyCSCScheduled(L, CS);
+  else {
     std::printf("(no wavefront executor for %s; schedule only)\n",
                 Key.c_str());
+    return;
+  }
+  // The executor's serial-or-parallel choice for this run (DESIGN.md §14).
+  std::printf("executor: %s (predicted serial %.3f ms, parallel %.3f ms "
+              "on a team of %d)\n",
+              E.serial() ? "serial" : "parallel", E.SerialNs / 1e6,
+              E.ParallelNs / 1e6, E.Team);
 }
 
 /// Compile-once/run-many paths through one kernel. Empty strings mean

@@ -229,18 +229,23 @@ int main(int argc, char **argv) {
   // -- Executor (hundreds of times in a real solver). ----------------------
   std::vector<double> B(static_cast<size_t>(L.N), 1.0), XS, XP;
   double SerialT = 1e9, ExecT = 1e9;
+  ExecEstimate E;
   for (int Rep = 0; Rep < 5; ++Rep) {
     T0 = now();
     forwardSolveCSCSerial(L, B, XS);
     SerialT = std::min(SerialT, now() - T0);
     T0 = now();
-    forwardSolveCSCScheduled(L, B, XP, S);
+    E = forwardSolveCSCScheduled(L, B, XP, S);
     ExecT = std::min(ExecT, now() - T0);
   }
   double Diff = 0;
   for (size_t I = 0; I < XS.size(); ++I)
     Diff = std::max(Diff, std::abs(XS[I] - XP[I]));
 
+  std::printf("executor: %s (predicted serial %.4fs, parallel %.4fs on a "
+              "team of %d)\n",
+              E.serial() ? "serial" : "parallel", E.SerialNs / 1e9,
+              E.ParallelNs / 1e9, E.Team);
   std::printf("serial solve:    %.4fs\n", SerialT);
   std::printf("wavefront solve: %.4fs  (speedup %.2fx, max |diff| %.2e)\n",
               ExecT, SerialT / ExecT, Diff);

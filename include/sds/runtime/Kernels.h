@@ -59,27 +59,75 @@ void incompleteLU0CSRSerial(CSRMatrix &A);
 void leftCholeskyCSCSerial(CSCMatrix &L);
 
 //===----------------------------------------------------------------------===//
+// Serial-or-parallel choice
+//===----------------------------------------------------------------------===//
+
+/// Predicted times of one executor run (DESIGN.md §14). Serially, Work
+/// units at UnitNs (c) each. In parallel, the critical path's share of
+/// that work (CritNodes / Nodes) plus WaveNs (b) per wave.
+struct ExecEstimate {
+  int Team = 1;          ///< OpenMP team width of a parallel run
+  double Work = 0;       ///< the kernel's total work, in multiply-adds
+  double UnitNs = 0;     ///< c: ns per work unit
+  double WaveNs = 0;     ///< b(Team): ns per wave; 0 when Team is 1
+  double SerialNs = 0;
+  double ParallelNs = 0; ///< equals SerialNs when Team is 1
+  bool serial() const { return SerialNs <= ParallelNs; }
+};
+
+/// The rule itself, with the machine's constants given: serial when
+/// Team is 1 or Work * UnitNs * (1 - CritNodes / Nodes) <=
+/// Waves * WaveNs.
+ExecEstimate estimateExec(const CompiledSchedule &S, double Work, int Team,
+                          double UnitNs, double WaveNs);
+
+/// The rule with this process's constants. Team is S's chunk width,
+/// capped by the OpenMP thread limit (one thread without OpenMP or inside
+/// a region that cannot nest). c comes from a fixed synthetic serial
+/// forward solve and b(Team) from the barrier runner with an empty body
+/// over a fixed synthetic schedule; both are measured once per process
+/// (b lazily per team width, and again later if the first sample was
+/// taken while other processes held the cores).
+ExecEstimate estimateExec(const CompiledSchedule &S, double Work);
+
+/// estimateExec(S, Work).serial(): running S's nodes serially is
+/// predicted no slower than its parallel shape.
+bool preferSerial(const CompiledSchedule &S, double Work);
+
+//===----------------------------------------------------------------------===//
 // Schedule executors
 //===----------------------------------------------------------------------===//
 //
 // Run a CompiledSchedule of any kind, node by node: barrier kinds
 // (levels/lbc/coalesced/vector) synchronize between waves, a P2P schedule
-// runs barrier-free on atomic remaining-predecessor counters. All five
-// produce the same results as their serial reference (bit-identical for
-// the pull-based kernels; last-ulp for the two that use commutative
-// atomic updates — DESIGN.md §14).
+// runs barrier-free on atomic remaining-predecessor counters. Each run
+// first estimates (above) whether the parallel shape can pay for its
+// synchronization, from the kernel's total work read off the matrix: nnz
+// for the forward solves and Gauss-Seidel, sum C^2 for IC0 and
+// sum C(1+U) for left Cholesky (C a column's entries, U the earlier
+// columns that update it). When it cannot, the executor runs nodes
+// 0..N-1 in ascending order on the calling thread with plain stores and
+// opens no OpenMP region. Each returns the estimate its choice came from.
+// All five produce the same results as their serial reference
+// (bit-identical for the pull-based kernels and on the serial branch;
+// last-ulp for the two that use commutative atomic updates in parallel —
+// DESIGN.md §14).
 
-void forwardSolveCSRScheduled(const CSRMatrix &L, const std::vector<double> &B,
-                              std::vector<double> &X,
-                              const CompiledSchedule &S);
-void forwardSolveCSCScheduled(const CSCMatrix &L, const std::vector<double> &B,
-                              std::vector<double> &X,
-                              const CompiledSchedule &S);
-void gaussSeidelCSRScheduled(const CSRMatrix &A, const std::vector<double> &B,
-                             std::vector<double> &X,
-                             const CompiledSchedule &S);
-void incompleteCholeskyCSCScheduled(CSCMatrix &L, const CompiledSchedule &S);
-void leftCholeskyCSCScheduled(CSCMatrix &L, const CompiledSchedule &S);
+ExecEstimate forwardSolveCSRScheduled(const CSRMatrix &L,
+                                      const std::vector<double> &B,
+                                      std::vector<double> &X,
+                                      const CompiledSchedule &S);
+ExecEstimate forwardSolveCSCScheduled(const CSCMatrix &L,
+                                      const std::vector<double> &B,
+                                      std::vector<double> &X,
+                                      const CompiledSchedule &S);
+ExecEstimate gaussSeidelCSRScheduled(const CSRMatrix &A,
+                                     const std::vector<double> &B,
+                                     std::vector<double> &X,
+                                     const CompiledSchedule &S);
+ExecEstimate incompleteCholeskyCSCScheduled(CSCMatrix &L,
+                                            const CompiledSchedule &S);
+ExecEstimate leftCholeskyCSCScheduled(CSCMatrix &L, const CompiledSchedule &S);
 
 //===----------------------------------------------------------------------===//
 // Static structures

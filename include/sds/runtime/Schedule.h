@@ -109,6 +109,12 @@ struct CompiledSchedule {
   std::vector<size_t> SuccPtr;
   std::vector<int> SuccDst;
 
+  /// Shape totals for the executors' serial-or-parallel choice
+  /// (preferSerial, Kernels.h): scheduled nodes, and the critical path in
+  /// nodes — each wave's largest chunk, summed over waves.
+  uint64_t Nodes = 0;
+  uint64_t CritNodes = 0;
+
   int numWaves() const { return static_cast<int>(Waves.size()); }
 };
 

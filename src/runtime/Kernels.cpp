@@ -9,12 +9,15 @@
 #include "sds/obs/Metrics.h"
 #include "sds/obs/Trace.h"
 
+#include <algorithm>
 #include <atomic>
 #include <cassert>
 #include <cmath>
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <thread>
+#include <type_traits>
 
 #include "sds/support/OMP.h"
 
@@ -259,10 +262,10 @@ obs::Histogram &p2pStallHistogram() {
 /// Thread 0's per-wave span: opened before the wave's work, closed after
 /// the barrier, so its duration includes the imbalance wait — exactly the
 /// per-level execution time behind Figure 9. Inert (no clock reads, no
-/// allocation) when tracing is off.
-std::optional<obs::Span> waveSpan(int Thread, size_t Wave,
+/// allocation) when tracing is off or `Observe` is false.
+std::optional<obs::Span> waveSpan(bool Observe, int Thread, size_t Wave,
                                   const std::vector<std::vector<int>> &Parts) {
-  if (Thread != 0 || !obs::enabled())
+  if (!Observe || Thread != 0 || !obs::enabled())
     return std::nullopt;
   std::optional<obs::Span> Sp;
   Sp.emplace("wavefront.wave", "rt");
@@ -278,7 +281,8 @@ std::optional<obs::Span> waveSpan(int Thread, size_t Wave,
 /// OpenMP thread per chunk column. Chunks are strided over the team, so a
 /// smaller team (notably the one-thread team of an OpenMP-off build)
 /// still covers every chunk; `Thread` is the executing thread's id,
-/// always below the schedule's chunk width.
+/// always below the schedule's chunk width. `Observe` = false skips the
+/// per-wave spans and histograms (the barrier calibration below).
 ///
 /// Barrier mode runs the waves in order with a barrier between them.
 /// P2P mode has no barriers: every thread walks its own chunks in (wave,
@@ -294,13 +298,10 @@ std::optional<obs::Span> waveSpan(int Thread, size_t Wave,
 /// thread and precedes that thread's first unexecuted node (>= v), so it
 /// has already executed — v's counter is zero and its owner proceeds.
 template <typename BodyFn>
-void runCompiledSchedule(const CompiledSchedule &CS, BodyFn &&Body) {
+void runCompiledSchedule(const CompiledSchedule &CS, BodyFn &&Body,
+                         bool Observe = true) {
   const auto &Waves = CS.Waves;
-  int NumThreads = Waves.empty() ? 1 : static_cast<int>(Waves[0].size());
-  obs::Span Total("wavefront.execute", "rt");
-  Total.tag("waves", static_cast<int64_t>(Waves.size()));
-  Total.tag("threads", static_cast<int64_t>(NumThreads));
-  Total.tag("kind", scheduleKindName(CS.Config.Kind));
+  bool Metrics = Observe && obs::metricsEnabled();
   std::unique_ptr<std::atomic<int>[]> Remaining;
   if (CS.UsesP2P) {
     Remaining.reset(new std::atomic<int>[CS.InDegree.size()]);
@@ -308,6 +309,7 @@ void runCompiledSchedule(const CompiledSchedule &CS, BodyFn &&Body) {
       Remaining[I].store(CS.InDegree[I], std::memory_order_relaxed);
   }
 #ifdef _OPENMP
+  int NumThreads = Waves.empty() ? 1 : static_cast<int>(Waves[0].size());
 #pragma omp parallel num_threads(NumThreads)
 #endif
   {
@@ -316,12 +318,12 @@ void runCompiledSchedule(const CompiledSchedule &CS, BodyFn &&Body) {
     if (!CS.UsesP2P) {
       for (size_t W = 0; W < Waves.size(); ++W) {
         const auto &Wave = Waves[W];
-        std::optional<obs::Span> Sp = waveSpan(T, W, Wave);
-        uint64_t WT0 = (T == 0 && obs::metricsEnabled()) ? obs::nowNs() : 0;
+        std::optional<obs::Span> Sp = waveSpan(Observe, T, W, Wave);
+        uint64_t WT0 = (T == 0 && Metrics) ? obs::nowNs() : 0;
         for (size_t P = static_cast<size_t>(T); P < Wave.size(); P += Team)
           for (int Node : Wave[P])
             Body(Node, T);
-        uint64_t BT0 = obs::metricsEnabled() ? obs::nowNs() : 0;
+        uint64_t BT0 = Metrics ? obs::nowNs() : 0;
 #ifdef _OPENMP
 #pragma omp barrier
 #endif
@@ -338,7 +340,7 @@ void runCompiledSchedule(const CompiledSchedule &CS, BodyFn &&Body) {
           for (int Node : Waves[W][P]) {
             std::atomic<int> &Ready = Remaining[static_cast<size_t>(Node)];
             if (Ready.load(std::memory_order_acquire) != 0) {
-              uint64_t T0 = obs::metricsEnabled() ? obs::nowNs() : 0;
+              uint64_t T0 = Metrics ? obs::nowNs() : 0;
               int Spins = 0;
               while (Ready.load(std::memory_order_acquire) != 0)
                 if (++Spins == 1024) {
@@ -361,14 +363,249 @@ void runCompiledSchedule(const CompiledSchedule &CS, BodyFn &&Body) {
   }
 }
 
+//===----------------------------------------------------------------------===//
+// Serial-or-parallel cost model
+//===----------------------------------------------------------------------===//
+
+/// c: ns per work unit, from the fastest of five timed serial CSR forward
+/// solves (after a warm-up) over a fixed synthetic banded matrix — the
+/// run least disturbed by other processes. Measured once per process.
+double workUnitNs() {
+  static const double C = [] {
+    // 4096 rows of up to seven off-diagonals spread over the 63 columns
+    // left of the diagonal, then the diagonal.
+    CSRMatrix L;
+    L.N = 4096;
+    L.RowPtr.push_back(0);
+    for (int I = 0; I < L.N; ++I) {
+      for (int K = 7; K >= 1; --K)
+        if (I - 9 * K >= 0) {
+          L.Col.push_back(I - 9 * K);
+          L.Val.push_back(0.1);
+        }
+      L.Col.push_back(I);
+      L.Val.push_back(2.0);
+      L.RowPtr.push_back(L.nnz());
+    }
+    std::vector<double> B(static_cast<size_t>(L.N), 1.0), X;
+    forwardSolveCSRSerial(L, B, X);
+    uint64_t Best = UINT64_MAX;
+    for (int Rep = 0; Rep < 5; ++Rep) {
+      uint64_t T0 = obs::nowNs();
+      forwardSolveCSRSerial(L, B, X);
+      Best = std::min(Best, obs::nowNs() - T0);
+    }
+    return static_cast<double>(Best) / L.nnz();
+  }();
+  return C;
+}
+
+/// A b(Team) above this was measured while other processes held the
+/// cores, or by a team larger than the processor count (10-25 us at
+/// Team=8 on 4 cores, for which a re-take costs a few ms): an idle 4-core
+/// machine measures 0.5-0.8 us at Team=4.
+constexpr double kBusyWaveNs = 20000;
+
+/// One measurement of b(Team): the 10th percentile of the gaps between
+/// consecutive waves of the barrier runner with an empty body over a
+/// fixed synthetic schedule of one-node chunks, as thread 0 stamps them.
+/// A wave that waits for a thread another process has preempted costs a
+/// scheduler tick (4-8 ms on a 4-core container, against under 1 us
+/// otherwise); a low quantile keeps such moments out.
+double measureWaveCost(int Team) {
+  constexpr int kWaves = 65;
+  CompiledSchedule S;
+  for (int W = 0; W < kWaves; ++W)
+    S.Waves.emplace_back(static_cast<size_t>(Team), std::vector<int>{W});
+  std::vector<uint64_t> Stamp(kWaves), Gaps;
+  auto Run = [&] {
+    runCompiledSchedule(
+        S,
+        [&](int W, int T) {
+          if (T == 0)
+            Stamp[static_cast<size_t>(W)] = obs::nowNs();
+        },
+        false);
+  };
+  Run(); // warm-up: spawns the team
+  for (int Rep = 0; Rep < 3; ++Rep) {
+    Run();
+    for (size_t W = 1; W < Stamp.size(); ++W)
+      Gaps.push_back(Stamp[W] - Stamp[W - 1]);
+  }
+  std::nth_element(Gaps.begin(), Gaps.begin() + Gaps.size() / 10,
+                   Gaps.end());
+  return static_cast<double>(Gaps[Gaps.size() / 10]);
+}
+
+/// b(Team): ns per wave of the barrier runner at team width `Team`,
+/// measured on first use of that width and kept for the process. A
+/// sample above kBusyWaveNs is taken again by a later run, 1 s and then
+/// 2 s after the previous take, keeping the lowest; so a calibration
+/// taken during a load burst does not fix the serial branch for a
+/// long-lived process.
+double waveCostNs(int Team) {
+  struct Sample {
+    double Ns = 0;
+    int Takes = 0;
+    uint64_t NextNs = 0; ///< earliest re-take
+  };
+  constexpr int kMaxTakes = 3;
+  static std::mutex Mu;
+  static std::vector<Sample> Cost; // by team width
+  std::lock_guard<std::mutex> Lock(Mu);
+  if (Cost.size() <= static_cast<size_t>(Team))
+    Cost.resize(static_cast<size_t>(Team) + 1);
+  Sample &B = Cost[static_cast<size_t>(Team)];
+  if (B.Takes == 0 || (B.Ns > kBusyWaveNs && B.Takes < kMaxTakes &&
+                       obs::nowNs() >= B.NextNs)) {
+    double Ns = measureWaveCost(Team);
+    B.Ns = B.Takes ? std::min(B.Ns, Ns) : Ns;
+    ++B.Takes;
+    B.NextNs = obs::nowNs() + (uint64_t{1000000000} << (B.Takes - 1));
+  }
+  return B.Ns;
+}
+
+/// The OpenMP team a parallel run of S would get: its chunk width, capped
+/// by the thread limit; one thread without OpenMP or inside a region that
+/// cannot nest.
+int teamWidth(const CompiledSchedule &S) {
+#ifdef _OPENMP
+  if (S.Waves.empty() ||
+      omp_get_active_level() >= omp_get_max_active_levels())
+    return 1;
+  return std::min(static_cast<int>(S.Waves[0].size()),
+                  omp_get_thread_limit());
+#else
+  (void)S;
+  return 1;
+#endif
+}
+
+/// The calibrated estimate of one executor run, counted in the metrics
+/// registry.
+ExecEstimate decide(const CompiledSchedule &S, double Work) {
+  ExecEstimate E = estimateExec(S, Work);
+  if (obs::metricsEnabled()) {
+    static obs::MetricCounter &Serial = obs::metricCounter("rt.exec_serial");
+    static obs::MetricCounter &Parallel =
+        obs::metricCounter("rt.exec_parallel");
+    static obs::Gauge &UnitNs = obs::gauge("rt.work_unit_ns");
+    static obs::Gauge &WaveNs = obs::gauge("rt.wave_cost_ns");
+    (E.serial() ? Serial : Parallel).add(1);
+    UnitNs.set(E.UnitNs);
+    if (E.Team > 1)
+      WaveNs.set(E.WaveNs);
+  }
+  return E;
+}
+
+/// Run one executor as `E` chose: `Body(Node, Thread, Parallel)` over
+/// nodes 0..N-1 in ascending order on the calling thread when
+/// E.serial(), else over the schedule's parallel shape. `Parallel` is
+/// std::true_type or std::false_type, so push-style bodies drop their
+/// atomics on the serial branch. Ascending order is the original loop
+/// order, which every dependence graph honors (they are forward-only).
+/// Returns `E`.
+template <typename BodyFn>
+ExecEstimate runPlan(const CompiledSchedule &CS, int N,
+                     const ExecEstimate &E, BodyFn &&Body) {
+  obs::Span Total("wavefront.execute", "rt");
+  Total.tag("mode", E.serial() ? "serial" : "parallel");
+  Total.tag("waves", static_cast<int64_t>(CS.Waves.size()));
+  Total.tag("threads", static_cast<int64_t>(
+                           CS.Waves.empty() ? 1 : CS.Waves[0].size()));
+  Total.tag("kind", scheduleKindName(CS.Config.Kind));
+  if (E.serial()) {
+    for (int I = 0; I < N; ++I)
+      Body(I, 0, std::false_type{});
+    return E;
+  }
+  runCompiledSchedule(CS, [&](int I, int T) { Body(I, T, std::true_type{}); });
+  return E;
+}
+
+/// Total work of IC0 and of left Cholesky, in multiply-add units: O(n)
+/// sums over columns, with C the column's entries and U the earlier
+/// columns that update it (its prune set).
+double ic0Work(const CSCMatrix &L) { // sum C^2
+  double Work = 0;
+  for (int J = 0; J < L.N; ++J) {
+    double C = L.ColPtr[J + 1] - L.ColPtr[J];
+    Work += C * C;
+  }
+  return Work;
+}
+
+double leftCholeskyWork(const CSCMatrix &L, const PruneSets &Rows) {
+  double Work = 0; // sum C(1+U)
+  for (int J = 0; J < L.N; ++J) {
+    double C = L.ColPtr[J + 1] - L.ColPtr[J];
+    double U = Rows.Ptr[static_cast<size_t>(J) + 1] -
+               Rows.Ptr[static_cast<size_t>(J)];
+    Work += C * (1 + U);
+  }
+  return Work;
+}
+
+/// The body of one CSC forward-solve outer iteration (column J): divide by
+/// the diagonal, then push X[J] into every later row. `Atomic` as in
+/// ic0Column: updates to later rows may race with other columns of the
+/// same wave (or, under P2P, of other waves); they commute.
+template <bool Atomic>
+void fsCSCColumn(const CSCMatrix &L, double *X, int J) {
+  X[J] /= L.Val[static_cast<size_t>(L.ColPtr[J])]; // diagonal first
+  double XJ = X[J];
+  for (int P = L.ColPtr[J] + 1; P < L.ColPtr[J + 1]; ++P) {
+    double Delta = L.Val[static_cast<size_t>(P)] * XJ;
+    if (Atomic) {
+#ifdef _OPENMP
+#pragma omp atomic
+#endif
+      X[L.RowIdx[static_cast<size_t>(P)]] -= Delta;
+    } else {
+      X[L.RowIdx[static_cast<size_t>(P)]] -= Delta;
+    }
+  }
+}
+
 } // namespace
 
-void forwardSolveCSRScheduled(const CSRMatrix &L, const std::vector<double> &B,
-                              std::vector<double> &X,
-                              const CompiledSchedule &S) {
+ExecEstimate estimateExec(const CompiledSchedule &S, double Work, int Team,
+                          double UnitNs, double WaveNs) {
+  ExecEstimate E;
+  E.Team = std::max(1, Team);
+  E.Work = Work;
+  E.UnitNs = UnitNs;
+  E.SerialNs = Work * UnitNs;
+  E.ParallelNs = E.SerialNs;
+  if (E.Team > 1) {
+    E.WaveNs = WaveNs;
+    double CritShare =
+        S.Nodes ? static_cast<double>(S.CritNodes) / S.Nodes : 1.0;
+    E.ParallelNs = E.SerialNs * CritShare + S.numWaves() * WaveNs;
+  }
+  return E;
+}
+
+ExecEstimate estimateExec(const CompiledSchedule &S, double Work) {
+  int Team = teamWidth(S);
+  return estimateExec(S, Work, Team, workUnitNs(),
+                      Team > 1 ? waveCostNs(Team) : 0.0);
+}
+
+bool preferSerial(const CompiledSchedule &S, double Work) {
+  return estimateExec(S, Work).serial();
+}
+
+ExecEstimate forwardSolveCSRScheduled(const CSRMatrix &L,
+                                      const std::vector<double> &B,
+                                      std::vector<double> &X,
+                                      const CompiledSchedule &S) {
   X.assign(B.begin(), B.end());
   double *XP = X.data();
-  runCompiledSchedule(S, [&](int I, int) {
+  return runPlan(S, L.N, decide(S, L.nnz()), [&](int I, int, auto) {
     double Tmp = B[static_cast<size_t>(I)];
     int End = L.RowPtr[I + 1] - 1;
     for (int K = L.RowPtr[I]; K < End; ++K)
@@ -377,32 +614,23 @@ void forwardSolveCSRScheduled(const CSRMatrix &L, const std::vector<double> &B,
   });
 }
 
-void forwardSolveCSCScheduled(const CSCMatrix &L, const std::vector<double> &B,
-                              std::vector<double> &X,
-                              const CompiledSchedule &S) {
+ExecEstimate forwardSolveCSCScheduled(const CSCMatrix &L,
+                                      const std::vector<double> &B,
+                                      std::vector<double> &X,
+                                      const CompiledSchedule &S) {
   X.assign(B.begin(), B.end());
   double *XP = X.data();
-  runCompiledSchedule(S, [&](int J, int) {
-    XP[J] /= L.Val[static_cast<size_t>(L.ColPtr[J])];
-    double XJ = XP[J];
-    for (int P = L.ColPtr[J] + 1; P < L.ColPtr[J + 1]; ++P) {
-      double Delta = L.Val[static_cast<size_t>(P)] * XJ;
-      // Updates to later rows may race with other columns of the same
-      // wave (or, under P2P, of other waves); they commute, so an atomic
-      // subtraction suffices.
-#ifdef _OPENMP
-#pragma omp atomic
-#endif
-      XP[L.RowIdx[static_cast<size_t>(P)]] -= Delta;
-    }
+  return runPlan(S, L.N, decide(S, L.nnz()), [&](int J, int, auto Parallel) {
+    fsCSCColumn<decltype(Parallel)::value>(L, XP, J);
   });
 }
 
-void gaussSeidelCSRScheduled(const CSRMatrix &A, const std::vector<double> &B,
-                             std::vector<double> &X,
-                             const CompiledSchedule &S) {
+ExecEstimate gaussSeidelCSRScheduled(const CSRMatrix &A,
+                                     const std::vector<double> &B,
+                                     std::vector<double> &X,
+                                     const CompiledSchedule &S) {
   double *XP = X.data();
-  runCompiledSchedule(S, [&](int I, int) {
+  return runPlan(S, A.N, decide(S, A.nnz()), [&](int I, int, auto) {
     double Sum = B[static_cast<size_t>(I)];
     double Diag = 0;
     for (int K = A.RowPtr[I]; K < A.RowPtr[I + 1]; ++K) {
@@ -416,21 +644,24 @@ void gaussSeidelCSRScheduled(const CSRMatrix &A, const std::vector<double> &B,
   });
 }
 
-void incompleteCholeskyCSCScheduled(CSCMatrix &L, const CompiledSchedule &S) {
-  runCompiledSchedule(S, [&](int I, int) { ic0Column<true>(L, I); });
+ExecEstimate incompleteCholeskyCSCScheduled(CSCMatrix &L,
+                                            const CompiledSchedule &S) {
+  return runPlan(S, L.N, decide(S, ic0Work(L)),
+                 [&](int I, int, auto Parallel) {
+                   ic0Column<decltype(Parallel)::value>(L, I);
+                 });
 }
 
-void leftCholeskyCSCScheduled(CSCMatrix &L, const CompiledSchedule &S) {
+ExecEstimate leftCholeskyCSCScheduled(CSCMatrix &L, const CompiledSchedule &S) {
   std::vector<double> AVal = L.Val;
   PruneSets Rows = buildPruneSets(L);
-  int NumThreads =
-      S.Waves.empty() ? 1 : static_cast<int>(S.Waves[0].size());
+  ExecEstimate E = decide(S, leftCholeskyWork(L, Rows));
   // One dense gather buffer per executing thread (thread ids are always
-  // < the schedule's chunk width).
+  // < the schedule's chunk width); the serial branch needs one.
+  size_t Buffers = E.serial() || S.Waves.empty() ? 1 : S.Waves[0].size();
   std::vector<std::vector<double>> W(
-      static_cast<size_t>(NumThreads),
-      std::vector<double>(static_cast<size_t>(L.N), 0.0));
-  runCompiledSchedule(S, [&](int J, int T) {
+      Buffers, std::vector<double>(static_cast<size_t>(L.N), 0.0));
+  return runPlan(S, L.N, E, [&](int J, int T, auto) {
     leftCholColumn(L, AVal, Rows, J, W[static_cast<size_t>(T)]);
   });
 }

@@ -86,53 +86,62 @@ struct Component {
   std::vector<int> Nodes; ///< ascending
 };
 
-/// Connected components of the dependence subgraph induced on `Nodes`
-/// (must be sorted ascending), in union-find root-index order.
-std::vector<Component>
-connectedComponents(const DependenceGraph &G, const std::vector<int> &Nodes,
-                    const std::vector<double> &NodeCost) {
-  auto IndexOf = [&](int Node) {
-    return static_cast<size_t>(
-        std::lower_bound(Nodes.begin(), Nodes.end(), Node) - Nodes.begin());
-  };
-  auto InSet = [&](int Node) {
-    auto It = std::lower_bound(Nodes.begin(), Nodes.end(), Node);
-    return It != Nodes.end() && *It == Node;
-  };
+/// Connected components of dependence subgraphs induced on node sets, in
+/// union-find root-index order. One finder serves a whole schedule build:
+/// its node->slot map holds one entry per graph node and is cleared after
+/// every query, so membership and slot lookups are single array reads.
+class ComponentFinder {
+public:
+  explicit ComponentFinder(const DependenceGraph &G)
+      : G(G), SlotOf(static_cast<size_t>(G.numNodes()), -1) {}
 
-  std::vector<int> Parent(Nodes.size());
-  for (size_t I = 0; I < Nodes.size(); ++I)
-    Parent[I] = static_cast<int>(I);
-  auto Find = [&](int X) {
-    while (Parent[static_cast<size_t>(X)] != X)
-      X = Parent[static_cast<size_t>(X)] =
-          Parent[static_cast<size_t>(Parent[static_cast<size_t>(X)])];
-    return X;
-  };
-  for (int U : Nodes)
-    for (int V : G.successors(U))
-      if (InSet(V)) {
-        int A = Find(static_cast<int>(IndexOf(U)));
-        int B = Find(static_cast<int>(IndexOf(V)));
+  /// Components of the subgraph induced on `Nodes` (sorted ascending).
+  std::vector<Component> operator()(const std::vector<int> &Nodes,
+                                    const std::vector<double> &NodeCost) {
+    for (size_t I = 0; I < Nodes.size(); ++I)
+      SlotOf[static_cast<size_t>(Nodes[I])] = static_cast<int>(I);
+
+    std::vector<int> Parent(Nodes.size());
+    for (size_t I = 0; I < Nodes.size(); ++I)
+      Parent[I] = static_cast<int>(I);
+    auto Find = [&](int X) {
+      while (Parent[static_cast<size_t>(X)] != X)
+        X = Parent[static_cast<size_t>(X)] =
+            Parent[static_cast<size_t>(Parent[static_cast<size_t>(X)])];
+      return X;
+    };
+    for (size_t I = 0; I < Nodes.size(); ++I)
+      for (int V : G.successors(Nodes[I])) {
+        int Slot = SlotOf[static_cast<size_t>(V)];
+        if (Slot < 0)
+          continue;
+        int A = Find(static_cast<int>(I));
+        int B = Find(Slot);
         if (A != B)
           Parent[static_cast<size_t>(B)] = A;
       }
 
-  std::vector<Component> Comps(Nodes.size());
-  for (int Node : Nodes) {
-    Component &C =
-        Comps[static_cast<size_t>(Find(static_cast<int>(IndexOf(Node))))];
-    C.MinNode = std::min(C.MinNode, Node);
-    C.Cost += costOf(Node, NodeCost);
-    C.Nodes.push_back(Node);
+    std::vector<Component> Comps(Nodes.size());
+    for (size_t I = 0; I < Nodes.size(); ++I) {
+      int Node = Nodes[I];
+      Component &C = Comps[static_cast<size_t>(Find(static_cast<int>(I)))];
+      C.MinNode = std::min(C.MinNode, Node);
+      C.Cost += costOf(Node, NodeCost);
+      C.Nodes.push_back(Node);
+      SlotOf[static_cast<size_t>(Node)] = -1;
+    }
+    Comps.erase(std::remove_if(Comps.begin(), Comps.end(),
+                               [](const Component &C) {
+                                 return C.Nodes.empty();
+                               }),
+                Comps.end());
+    return Comps;
   }
-  Comps.erase(std::remove_if(Comps.begin(), Comps.end(),
-                             [](const Component &C) {
-                               return C.Nodes.empty();
-                             }),
-              Comps.end());
-  return Comps;
-}
+
+private:
+  const DependenceGraph &G;
+  std::vector<int> SlotOf; ///< slot in the current node set, or -1
+};
 
 /// Index of the bin with the smallest cost (first on ties).
 size_t lightestBin(const std::vector<double> &BinCost) {
@@ -172,7 +181,7 @@ class LBCPartitioner {
 public:
   LBCPartitioner(const DependenceGraph &G, const LevelSets &LS,
                  int NumThreads, const std::vector<double> &NodeCost)
-      : G(G), LS(LS), NumThreads(NumThreads), NodeCost(NodeCost) {}
+      : Components(G), LS(LS), NumThreads(NumThreads), NodeCost(NodeCost) {}
 
   double levelCost(int Lv) const {
     double W = 0;
@@ -201,7 +210,7 @@ private:
       Nodes.insert(Nodes.end(), LS.Levels[static_cast<size_t>(Lv)].begin(),
                    LS.Levels[static_cast<size_t>(Lv)].end());
     std::sort(Nodes.begin(), Nodes.end());
-    std::vector<Component> Comps = connectedComponents(G, Nodes, NodeCost);
+    std::vector<Component> Comps = Components(Nodes, NodeCost);
     double MaxComp = 0;
     for (const Component &Comp : Comps)
       MaxComp = std::max(MaxComp, Comp.Cost);
@@ -247,7 +256,7 @@ private:
     return true;
   }
 
-  const DependenceGraph &G;
+  ComponentFinder Components;
   const LevelSets &LS;
   int NumThreads;
   const std::vector<double> &NodeCost;
@@ -290,13 +299,13 @@ WaveList lbcWaves(const DependenceGraph &G, const LevelSets &LS,
 /// chunk is sorted ascending: dependence edges always point to larger
 /// iterations, so ascending order preserves intra-chunk dependence order.
 std::vector<std::vector<int>>
-packComponents(const DependenceGraph &G, std::vector<int> Nodes,
+packComponents(ComponentFinder &Components, std::vector<int> Nodes,
                int NumThreads, const std::vector<double> &NodeCost) {
   std::sort(Nodes.begin(), Nodes.end());
   double Total = 0;
   for (int Node : Nodes)
     Total += costOf(Node, NodeCost);
-  std::vector<Component> Comps = connectedComponents(G, Nodes, NodeCost);
+  std::vector<Component> Comps = Components(Nodes, NodeCost);
   std::sort(Comps.begin(), Comps.end(),
             [](const Component &A, const Component &B) {
               return A.MinNode < B.MinNode;
@@ -328,6 +337,7 @@ void coalesceWaves(const DependenceGraph &G,
   obs::Span Sp("schedule.pass", "rt");
   Sp.tag("pass", "coalesce-waves");
   const ScheduleConfig &C = S.Config;
+  ComponentFinder Components(G);
   double Target =
       std::max(1.0, C.CoalesceFactor * C.MinWorkPerThread * C.NumThreads);
   WaveList Out;
@@ -337,7 +347,7 @@ void coalesceWaves(const DependenceGraph &G,
     if (Pending.empty())
       return;
     Out.push_back(
-        packComponents(G, std::move(Pending), C.NumThreads, NodeCost));
+        packComponents(Components, std::move(Pending), C.NumThreads, NodeCost));
     Pending.clear();
     PendingCost = 0;
   };
@@ -353,7 +363,7 @@ void coalesceWaves(const DependenceGraph &G,
     if (C.NumThreads <= 1)
       return true;
     double MaxComp = 0;
-    for (const Component &Comp : connectedComponents(G, Merged, NodeCost))
+    for (const Component &Comp : Components(Merged, NodeCost))
       MaxComp = std::max(MaxComp, Comp.Cost);
     return MaxComp <= std::max(kImbalanceTolerance * Cost / C.NumThreads,
                                static_cast<double>(C.MinWorkPerThread));
@@ -482,6 +492,8 @@ CompiledSchedule buildSchedule(const DependenceGraph &G,
     break;
   }
   CompiledScheduleStats St = describeSchedule(S);
+  S.Nodes = St.Base.TotalNodes;
+  S.CritNodes = St.Base.CriticalWork;
   Sp.tag("waves", static_cast<int64_t>(St.Base.NumWaves));
   Sp.tag("chunks", static_cast<int64_t>(St.NumChunks));
   Sp.tag("nodes", static_cast<int64_t>(St.Base.TotalNodes));

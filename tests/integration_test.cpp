@@ -11,6 +11,8 @@
 
 #include "sds/driver/Driver.h"
 
+#include "WideInputs.h"
+
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -123,61 +125,80 @@ TEST(Integration, InspectorGraphCoversExactDependences) {
     }
 }
 
+// The end-to-end tests run a banded input, whose deep narrow DAG the
+// executors run serially, and a layered one they run in parallel over the
+// generated inspector's graph (WideInputs.h).
+
 TEST(Integration, ForwardSolveCSREndToEnd) {
-  CSRMatrix L = makeLower(500, 9, 40, 7);
-  std::vector<double> B = randomVector(L.N, 3);
+  for (bool Wide : {false, true}) {
+    CSRMatrix L = Wide ? lowerTriangle(test::wideInput(7))
+                       : makeLower(500, 9, 40, 7);
+    std::vector<double> B = randomVector(L.N, 3);
 
-  auto Env = driver::bindCSR(L);
-  driver::InspectionResult Insp =
-      driver::runInspectors(fsCSRAnalysis(), Env, L.N);
+    auto Env = driver::bindCSR(L);
+    driver::InspectionResult Insp =
+        driver::runInspectors(fsCSRAnalysis(), Env, L.N);
 
-  CompiledSchedule S = buildSchedule(Insp.Graph, levels(4));
-  ASSERT_TRUE(certifySchedule(Insp.Graph, S));
+    CompiledSchedule S = buildSchedule(Insp.Graph, levels(4));
+    ASSERT_TRUE(certifySchedule(Insp.Graph, S));
 
-  std::vector<double> XSer, XPar;
-  forwardSolveCSRSerial(L, B, XSer);
-  forwardSolveCSRScheduled(L, B, XPar, S);
-  EXPECT_LT(maxAbsDiff(XSer, XPar), 1e-10);
+    std::vector<double> XSer, XPar;
+    forwardSolveCSRSerial(L, B, XSer);
+    ExecEstimate E = forwardSolveCSRScheduled(L, B, XPar, S);
+    EXPECT_LT(maxAbsDiff(XSer, XPar), 1e-10) << (Wide ? "wide" : "banded");
+    if (Wide)
+      test::expectParallelRun(S, E, "fs_csr");
+  }
 }
 
 TEST(Integration, ForwardSolveCSCEndToEndWithLBC) {
-  CSRMatrix LR = makeLower(500, 9, 40, 8);
-  CSCMatrix L = toCSC(LR);
-  std::vector<double> B = randomVector(L.N, 4);
+  for (bool Wide : {false, true}) {
+    CSRMatrix LR = Wide ? lowerTriangle(test::wideInput(8))
+                        : makeLower(500, 9, 40, 8);
+    CSCMatrix L = toCSC(LR);
+    std::vector<double> B = randomVector(L.N, 4);
 
-  auto Env = driver::bindCSC(L);
-  driver::InspectionResult Insp =
-      driver::runInspectors(fsCSCAnalysis(), Env, L.N);
+    auto Env = driver::bindCSC(L);
+    driver::InspectionResult Insp =
+        driver::runInspectors(fsCSCAnalysis(), Env, L.N);
 
-  ScheduleConfig C;
-  C.Kind = ScheduleKind::LBC;
-  C.NumThreads = 4;
-  C.MinWorkPerThread = 16;
-  CompiledSchedule S = buildSchedule(Insp.Graph, C);
-  ASSERT_TRUE(certifySchedule(Insp.Graph, S));
+    ScheduleConfig C;
+    C.Kind = ScheduleKind::LBC;
+    C.NumThreads = 4;
+    C.MinWorkPerThread = 16;
+    CompiledSchedule S = buildSchedule(Insp.Graph, C);
+    ASSERT_TRUE(certifySchedule(Insp.Graph, S));
 
-  std::vector<double> XSer, XPar;
-  forwardSolveCSCSerial(L, B, XSer);
-  forwardSolveCSCScheduled(L, B, XPar, S);
-  EXPECT_LT(maxAbsDiff(XSer, XPar), 1e-9);
+    std::vector<double> XSer, XPar;
+    forwardSolveCSCSerial(L, B, XSer);
+    ExecEstimate E = forwardSolveCSCScheduled(L, B, XPar, S);
+    EXPECT_LT(maxAbsDiff(XSer, XPar), 1e-9) << (Wide ? "wide" : "banded");
+    if (Wide)
+      test::expectParallelRun(S, E, "fs_csc");
+  }
 }
 
 TEST(Integration, GaussSeidelEndToEnd) {
-  CSRMatrix A = generateSPDLike({400, 9, 32, 9});
-  std::vector<double> B = randomVector(A.N, 5);
+  for (bool Wide : {false, true}) {
+    CSRMatrix A =
+        Wide ? test::wideInput(9) : generateSPDLike({400, 9, 32, 9});
+    std::vector<double> B = randomVector(A.N, 5);
 
-  auto Env = driver::bindCSR(A, A.diagonalPositions());
-  driver::InspectionResult Insp =
-      driver::runInspectors(gsCSRAnalysis(), Env, A.N);
-  EXPECT_EQ(Insp.NumInspectors, 2u); // both read/write directions
+    auto Env = driver::bindCSR(A, A.diagonalPositions());
+    driver::InspectionResult Insp =
+        driver::runInspectors(gsCSRAnalysis(), Env, A.N);
+    EXPECT_EQ(Insp.NumInspectors, 2u); // both read/write directions
 
-  CompiledSchedule S = buildSchedule(Insp.Graph, levels(4));
-  ASSERT_TRUE(certifySchedule(Insp.Graph, S));
+    CompiledSchedule S = buildSchedule(Insp.Graph, levels(4));
+    ASSERT_TRUE(certifySchedule(Insp.Graph, S));
 
-  std::vector<double> XSer(static_cast<size_t>(A.N), 0.0), XPar = XSer;
-  gaussSeidelCSRSerial(A, B, XSer);
-  gaussSeidelCSRScheduled(A, B, XPar, S);
-  EXPECT_LT(maxAbsDiff(XSer, XPar), 1e-10);
+    std::vector<double> XSer(static_cast<size_t>(A.N), 0.0), XPar = XSer;
+    gaussSeidelCSRSerial(A, B, XSer);
+    ExecEstimate E = gaussSeidelCSRScheduled(A, B, XPar, S);
+    EXPECT_LT(maxAbsDiff(XSer, XPar), 1e-10) << (Wide ? "wide" : "banded");
+    if (Wide)
+      test::expectParallelRun(S, E, "gs_csr");
+  }
 }
 
 TEST(Integration, InspectorWorkTracksComplexity) {

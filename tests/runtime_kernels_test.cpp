@@ -6,11 +6,14 @@
 
 #include "sds/runtime/Kernels.h"
 
+#include "WideInputs.h"
+
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <random>
 
+using namespace sds;
 using namespace sds::rt;
 
 namespace {
@@ -206,75 +209,109 @@ TEST(IncompleteLU, ReproducesLUOnNoFillPattern) {
 // Wavefront executors match serial results.
 //===----------------------------------------------------------------------===//
 
+// Each test runs a banded input, whose deep narrow DAG the executors run
+// serially, and a layered one they run in parallel (WideInputs.h), so both
+// branches are checked against the serial kernels, and the parallel one
+// against a schedule order that differs from the serial loop's.
 class WavefrontExec : public ::testing::TestWithParam<int> {};
 
 TEST_P(WavefrontExec, ForwardSolveMatchesSerial) {
-  CSRMatrix L = makeLower(400, 8, 30, static_cast<uint64_t>(GetParam()));
-  CSCMatrix LC = toCSC(L);
-  std::vector<double> B = randomVector(L.N, 5);
-  std::vector<double> XSer, XCSR, XCSC;
-  forwardSolveCSRSerial(L, B, XSer);
+  uint64_t Seed = static_cast<uint64_t>(GetParam());
+  for (bool Wide : {false, true}) {
+    CSRMatrix L = Wide ? lowerTriangle(test::wideInput(Seed))
+                       : makeLower(400, 8, 30, Seed);
+    std::string Label = Wide ? "wide" : "banded";
+    CSCMatrix LC = toCSC(L);
+    std::vector<double> B = randomVector(L.N, 5);
+    std::vector<double> XSer, XCSR, XCSC;
+    forwardSolveCSRSerial(L, B, XSer);
 
-  DependenceGraph G = exactForwardSolveGraph(LC);
-  CompiledSchedule Plain = buildSchedule(G, levels(4));
-  ASSERT_TRUE(certifySchedule(G, Plain));
-  forwardSolveCSRScheduled(L, B, XCSR, Plain);
-  EXPECT_LT(maxAbsDiff(XSer, XCSR), 1e-10);
+    DependenceGraph G = exactForwardSolveGraph(LC);
+    CompiledSchedule Plain = buildSchedule(G, levels(4));
+    ASSERT_TRUE(certifySchedule(G, Plain));
+    ExecEstimate E = forwardSolveCSRScheduled(L, B, XCSR, Plain);
+    EXPECT_LT(maxAbsDiff(XSer, XCSR), 1e-10) << Label;
+    if (Wide)
+      test::expectParallelRun(Plain, E, "fs_csr levels");
 
-  CompiledSchedule Coarse = buildSchedule(G, lbc(4, 8));
-  ASSERT_TRUE(certifySchedule(G, Coarse));
-  forwardSolveCSCScheduled(LC, B, XCSC, Coarse);
-  EXPECT_LT(maxAbsDiff(XSer, XCSC), 1e-9);
+    CompiledSchedule Coarse = buildSchedule(G, lbc(4, 8));
+    ASSERT_TRUE(certifySchedule(G, Coarse));
+    E = forwardSolveCSCScheduled(LC, B, XCSC, Coarse);
+    EXPECT_LT(maxAbsDiff(XSer, XCSC), 1e-9) << Label;
+    if (Wide)
+      test::expectParallelRun(Coarse, E, "fs_csc lbc");
+  }
 }
 
 TEST_P(WavefrontExec, GaussSeidelMatchesSerial) {
-  CSRMatrix A =
-      generateSPDLike({300, 7, 24, static_cast<uint64_t>(GetParam())});
-  std::vector<double> B = randomVector(A.N, 6);
-  std::vector<double> XSer(static_cast<size_t>(A.N), 0.0), XPar = XSer;
-  gaussSeidelCSRSerial(A, B, XSer);
+  uint64_t Seed = static_cast<uint64_t>(GetParam());
+  for (bool Wide : {false, true}) {
+    CSRMatrix A = Wide ? test::wideInput(Seed)
+                       : generateSPDLike({300, 7, 24, Seed});
+    std::vector<double> B = randomVector(A.N, 6);
+    std::vector<double> XSer(static_cast<size_t>(A.N), 0.0), XPar = XSer;
+    gaussSeidelCSRSerial(A, B, XSer);
 
-  // Gauss-Seidel's dependence graph: x[i] depends on x[col] for every
-  // off-diagonal entry (both directions of access, one direction of time:
-  // earlier iterations only).
-  DependenceGraph G(A.N);
-  for (int I = 0; I < A.N; ++I)
-    for (int K = A.RowPtr[I]; K < A.RowPtr[I + 1]; ++K) {
-      int C = A.Col[static_cast<size_t>(K)];
-      if (C < I)
-        G.addEdge(C, I);
-    }
-  G.finalize();
-  CompiledSchedule S = buildSchedule(G, levels(4));
-  ASSERT_TRUE(certifySchedule(G, S));
-  gaussSeidelCSRScheduled(A, B, XPar, S);
-  EXPECT_LT(maxAbsDiff(XSer, XPar), 1e-10);
+    // Gauss-Seidel's dependence graph: x[i] depends on x[col] for every
+    // off-diagonal entry (both directions of access, one direction of
+    // time: earlier iterations only).
+    DependenceGraph G(A.N);
+    for (int I = 0; I < A.N; ++I)
+      for (int K = A.RowPtr[I]; K < A.RowPtr[I + 1]; ++K) {
+        int C = A.Col[static_cast<size_t>(K)];
+        if (C < I)
+          G.addEdge(C, I);
+      }
+    G.finalize();
+    CompiledSchedule S = buildSchedule(G, levels(4));
+    ASSERT_TRUE(certifySchedule(G, S));
+    ExecEstimate E = gaussSeidelCSRScheduled(A, B, XPar, S);
+    EXPECT_LT(maxAbsDiff(XSer, XPar), 1e-10) << (Wide ? "wide" : "banded");
+    if (Wide)
+      test::expectParallelRun(S, E, "gs_csr levels");
+  }
 }
 
 TEST_P(WavefrontExec, IncompleteCholeskyMatchesSerial) {
-  CSRMatrix LP = makeLower(300, 8, 24, static_cast<uint64_t>(GetParam()));
-  CSCMatrix LSer = toCSC(LP), LPar = toCSC(LP), LLbc = toCSC(LP);
-  incompleteCholeskyCSCSerial(LSer);
+  uint64_t Seed = static_cast<uint64_t>(GetParam());
+  for (bool Wide : {false, true}) {
+    CSRMatrix LP = Wide ? lowerTriangle(test::wideInput(Seed))
+                        : makeLower(300, 8, 24, Seed);
+    std::string Label = Wide ? "wide" : "banded";
+    CSCMatrix LSer = toCSC(LP), LPar = toCSC(LP), LLbc = toCSC(LP);
+    incompleteCholeskyCSCSerial(LSer);
 
-  DependenceGraph G = exactCholeskyGraph(LPar);
-  CompiledSchedule S = buildSchedule(G, levels(4));
-  ASSERT_TRUE(certifySchedule(G, S));
-  incompleteCholeskyCSCScheduled(LPar, S);
-  EXPECT_LT(maxAbsDiff(LSer.Val, LPar.Val), 1e-9);
+    DependenceGraph G = exactCholeskyGraph(LPar);
+    CompiledSchedule S = buildSchedule(G, levels(4));
+    ASSERT_TRUE(certifySchedule(G, S));
+    ExecEstimate E = incompleteCholeskyCSCScheduled(LPar, S);
+    EXPECT_LT(maxAbsDiff(LSer.Val, LPar.Val), 1e-9) << Label;
+    if (Wide)
+      test::expectParallelRun(S, E, "ic0_csc levels");
 
-  CompiledSchedule Coarse = buildSchedule(G, lbc(4, 4));
-  incompleteCholeskyCSCScheduled(LLbc, Coarse);
-  EXPECT_LT(maxAbsDiff(LSer.Val, LLbc.Val), 1e-9);
+    CompiledSchedule Coarse = buildSchedule(G, lbc(4, 4));
+    E = incompleteCholeskyCSCScheduled(LLbc, Coarse);
+    EXPECT_LT(maxAbsDiff(LSer.Val, LLbc.Val), 1e-9) << Label;
+    if (Wide)
+      test::expectParallelRun(Coarse, E, "ic0_csc lbc");
+  }
 }
 
 TEST_P(WavefrontExec, LeftCholeskyMatchesSerial) {
-  CSRMatrix LP = makeLower(300, 8, 24, static_cast<uint64_t>(GetParam()));
-  CSCMatrix LSer = toCSC(LP), LPar = toCSC(LP);
-  leftCholeskyCSCSerial(LSer);
-  DependenceGraph G = exactCholeskyGraph(LPar);
-  CompiledSchedule S = buildSchedule(G, levels(4));
-  leftCholeskyCSCScheduled(LPar, S);
-  EXPECT_LT(maxAbsDiff(LSer.Val, LPar.Val), 1e-9);
+  uint64_t Seed = static_cast<uint64_t>(GetParam());
+  for (bool Wide : {false, true}) {
+    CSRMatrix LP = Wide ? lowerTriangle(test::wideInput(Seed))
+                        : makeLower(300, 8, 24, Seed);
+    CSCMatrix LSer = toCSC(LP), LPar = toCSC(LP);
+    leftCholeskyCSCSerial(LSer);
+    DependenceGraph G = exactCholeskyGraph(LPar);
+    CompiledSchedule S = buildSchedule(G, levels(4));
+    ExecEstimate E = leftCholeskyCSCScheduled(LPar, S);
+    EXPECT_LT(maxAbsDiff(LSer.Val, LPar.Val), 1e-9)
+        << (Wide ? "wide" : "banded");
+    if (Wide)
+      test::expectParallelRun(S, E, "lchol_csc levels");
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, WavefrontExec, ::testing::Range(100, 106));

@@ -5,14 +5,18 @@
 // Covers the schedule shapes of DESIGN.md §14: every schedule kind
 // certifies on arbitrary DAGs at every thread count, the coalescer only
 // removes waves, vector runs partition chunks into consecutive edge-free
-// blocks, the P2P lowering seeds exactly the graph's in-degrees, and the
-// compiled-schedule executors reproduce the serial kernels — bitwise for
-// the pull-based kernels, to 1e-9 for the atomic-update ones.
+// blocks, the P2P lowering seeds exactly the graph's in-degrees, the
+// executors' serial-or-parallel choice picks serial for narrow deep DAGs
+// and parallel for wide shallow ones, and the compiled-schedule executors
+// reproduce the serial kernels — bitwise for the pull-based kernels and
+// on the serial branch, to 1e-9 for the atomic-update ones in parallel.
 //
 //===----------------------------------------------------------------------===//
 
 #include "sds/runtime/Kernels.h"
 #include "sds/runtime/Schedule.h"
+
+#include "WideInputs.h"
 
 #include <gtest/gtest.h>
 
@@ -20,6 +24,7 @@
 #include <cstring>
 #include <random>
 
+using namespace sds;
 using namespace sds::rt;
 
 namespace {
@@ -326,60 +331,151 @@ class ScheduledExec : public ::testing::TestWithParam<int> {};
 
 TEST_P(ScheduledExec, AllKindsMatchSerial) {
   uint64_t Seed = static_cast<uint64_t>(GetParam());
-  CSRMatrix L = makeLower(350, 8, 28, Seed);
-  CSCMatrix LC = toCSC(L);
-  CSRMatrix A = generateSPDLike({300, 7, 24, Seed + 1});
-  std::vector<double> B = randomVector(L.N, Seed + 2);
-  std::vector<double> BG = randomVector(A.N, Seed + 3);
+  // Banded inputs: deep DAGs of a few nodes per wave, which every executor
+  // runs serially. Layered inputs (WideInputs.h): eight waves of 1,024
+  // nodes, which a team of two or more threads runs in parallel.
+  for (bool Wide : {false, true}) {
+    CSRMatrix A =
+        Wide ? test::wideInput(Seed) : generateSPDLike({300, 7, 24, Seed + 1});
+    CSRMatrix L = Wide ? lowerTriangle(A) : makeLower(350, 8, 28, Seed);
+    CSCMatrix LC = toCSC(L);
+    std::vector<double> B = randomVector(L.N, Seed + 2);
+    std::vector<double> BG = randomVector(A.N, Seed + 3);
 
-  std::vector<double> XSer, GSer(static_cast<size_t>(A.N), 0.0);
-  forwardSolveCSRSerial(L, B, XSer);
-  gaussSeidelCSRSerial(A, BG, GSer);
-  CSCMatrix CholSer = toCSC(L), IC0Ser = toCSC(L);
-  leftCholeskyCSCSerial(CholSer);
-  incompleteCholeskyCSCSerial(IC0Ser);
+    std::vector<double> XSer, XCSer, GSer(static_cast<size_t>(A.N), 0.0);
+    forwardSolveCSRSerial(L, B, XSer);
+    forwardSolveCSCSerial(LC, B, XCSer);
+    gaussSeidelCSRSerial(A, BG, GSer);
+    CSCMatrix CholSer = LC, IC0Ser = LC;
+    leftCholeskyCSCSerial(CholSer);
+    incompleteCholeskyCSCSerial(IC0Ser);
 
-  DependenceGraph GF = exactForwardSolveGraph(LC);
-  DependenceGraph GG = gaussSeidelGraph(A);
-  DependenceGraph GC = exactCholeskyGraph(LC);
+    DependenceGraph GF = exactForwardSolveGraph(LC);
+    DependenceGraph GG = gaussSeidelGraph(A);
+    DependenceGraph GC = exactCholeskyGraph(LC);
 
-  for (ScheduleKind Kind : kAllKinds)
-    for (int Threads : {1, 2, 4, 8}) {
-      std::string Label = std::string(scheduleKindName(Kind)) +
-                          " threads=" + std::to_string(Threads) +
-                          " seed=" + std::to_string(Seed);
-      CompiledSchedule SF = buildSchedule(GF, config(Kind, Threads));
-      CompiledSchedule SG = buildSchedule(GG, config(Kind, Threads));
-      CompiledSchedule SC = buildSchedule(GC, config(Kind, Threads));
-      ASSERT_TRUE(certifySchedule(GF, SF)) << Label;
-      ASSERT_TRUE(certifySchedule(GG, SG)) << Label;
-      ASSERT_TRUE(certifySchedule(GC, SC)) << Label;
+    for (ScheduleKind Kind : kAllKinds)
+      for (int Threads : {1, 2, 4, 8}) {
+        std::string Label = std::string(Wide ? "wide " : "banded ") +
+                            scheduleKindName(Kind) +
+                            " threads=" + std::to_string(Threads) +
+                            " seed=" + std::to_string(Seed);
+        CompiledSchedule SF = buildSchedule(GF, config(Kind, Threads));
+        CompiledSchedule SG = buildSchedule(GG, config(Kind, Threads));
+        CompiledSchedule SC = buildSchedule(GC, config(Kind, Threads));
+        ASSERT_TRUE(certifySchedule(GF, SF)) << Label;
+        ASSERT_TRUE(certifySchedule(GG, SG)) << Label;
+        ASSERT_TRUE(certifySchedule(GC, SC)) << Label;
 
-      // Pull-based kernels: each value is produced by exactly one node in
-      // the serial accumulation order — bitwise identical under any
-      // schedule shape and thread count.
-      std::vector<double> X;
-      forwardSolveCSRScheduled(L, B, X, SF);
-      expectBitIdentical(XSer, X, "fs_csr " + Label);
+        // Each executor's serial-or-parallel choice: serial on every
+        // banded input and on one-thread schedules, parallel otherwise.
+        auto ExpectChoice = [&](const CompiledSchedule &S,
+                                const ExecEstimate &E, const char *Kernel) {
+          if (!Wide || Threads == 1)
+            EXPECT_TRUE(E.serial()) << Kernel << " " << Label;
+          else
+            test::expectParallelRun(S, E, Kernel + (" " + Label));
+        };
 
-      std::vector<double> XG(static_cast<size_t>(A.N), 0.0);
-      gaussSeidelCSRScheduled(A, BG, XG, SG);
-      expectBitIdentical(GSer, XG, "gs_csr " + Label);
+        // Pull-based kernels: each value is produced by exactly one node in
+        // the serial accumulation order — bitwise identical under any
+        // schedule shape and thread count.
+        std::vector<double> X;
+        ExpectChoice(SF, forwardSolveCSRScheduled(L, B, X, SF), "fs_csr");
+        expectBitIdentical(XSer, X, "fs_csr " + Label);
 
-      CSCMatrix Chol = toCSC(L);
-      leftCholeskyCSCScheduled(Chol, SC);
-      expectBitIdentical(CholSer.Val, Chol.Val, "lchol_csc " + Label);
+        std::vector<double> XG(static_cast<size_t>(A.N), 0.0);
+        ExpectChoice(SG, gaussSeidelCSRScheduled(A, BG, XG, SG), "gs_csr");
+        expectBitIdentical(GSer, XG, "gs_csr " + Label);
 
-      // Push-based kernels use commutative atomic updates: order-sensitive
-      // in the last ulp, so tolerance-checked.
-      std::vector<double> XC;
-      forwardSolveCSCScheduled(LC, B, XC, SF);
-      EXPECT_LT(maxAbsDiff(XSer, XC), 1e-9) << "fs_csc " << Label;
+        CSCMatrix Chol = LC;
+        ExpectChoice(SC, leftCholeskyCSCScheduled(Chol, SC), "lchol_csc");
+        expectBitIdentical(CholSer.Val, Chol.Val, "lchol_csc " + Label);
 
-      CSCMatrix IC0 = toCSC(L);
-      incompleteCholeskyCSCScheduled(IC0, SC);
-      EXPECT_LT(maxAbsDiff(IC0Ser.Val, IC0.Val), 1e-9) << "ic0_csc " << Label;
-    }
+        // Push-based kernels use commutative atomic updates in parallel:
+        // order-sensitive in the last ulp, so tolerance-checked there. The
+        // serial branch runs the oracle's order with plain stores.
+        std::vector<double> XC;
+        ExecEstimate E = forwardSolveCSCScheduled(LC, B, XC, SF);
+        ExpectChoice(SF, E, "fs_csc");
+        if (E.serial())
+          expectBitIdentical(XCSer, XC, "fs_csc " + Label);
+        else
+          EXPECT_LT(maxAbsDiff(XCSer, XC), 1e-9) << "fs_csc " << Label;
+
+        CSCMatrix IC0 = LC;
+        E = incompleteCholeskyCSCScheduled(IC0, SC);
+        ExpectChoice(SC, E, "ic0_csc");
+        if (E.serial())
+          expectBitIdentical(IC0Ser.Val, IC0.Val, "ic0_csc " + Label);
+        else
+          EXPECT_LT(maxAbsDiff(IC0Ser.Val, IC0.Val), 1e-9)
+              << "ic0_csc " << Label;
+      }
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ScheduledExec, ::testing::Range(200, 203));
+
+//===----------------------------------------------------------------------===//
+// The serial-or-parallel choice
+//===----------------------------------------------------------------------===//
+
+// The rule with fixed machine constants (1 ns per work unit, 1 us per
+// wave), so these checks do not depend on the machine or its load.
+constexpr double kUnitNs = 1.0, kWaveNs = 1000.0;
+
+TEST(PreferSerial, OneWideScheduleRunsSerially) {
+  DependenceGraph G = randomDAG(200, 2, 7);
+  CompiledSchedule S = buildSchedule(G, config(ScheduleKind::LBC, 1));
+  EXPECT_EQ(S.Nodes, 200u);
+  ExecEstimate E = estimateExec(S, 1e12, 1, kUnitNs, kWaveNs);
+  EXPECT_TRUE(E.serial());
+  EXPECT_EQ(E.ParallelNs, E.SerialNs);
+  // This process's constants: a one-chunk schedule gets a one-thread team.
+  E = estimateExec(S, 1e12);
+  EXPECT_EQ(E.Team, 1);
+  EXPECT_TRUE(E.serial());
+  EXPECT_TRUE(preferSerial(S, 1e12));
+}
+
+TEST(PreferSerial, TwoWideWavesWithLargeWorkRunInParallel) {
+  // 64 independent nodes, each with one successor: two waves of 64.
+  DependenceGraph G(128);
+  for (int I = 0; I < 64; ++I)
+    G.addEdge(I, 64 + I);
+  G.finalize();
+  CompiledSchedule S = buildSchedule(G, config(ScheduleKind::Levels, 4));
+  ASSERT_EQ(S.numWaves(), 2);
+  EXPECT_EQ(S.Nodes, 128u);
+  EXPECT_EQ(S.CritNodes, 32u);
+  // Work 1e6: 1 ms serially; 0.25 ms of critical path + 2 us in parallel.
+  ExecEstimate E = estimateExec(S, 1e6, 4, kUnitNs, kWaveNs);
+  EXPECT_DOUBLE_EQ(E.SerialNs, 1e6);
+  EXPECT_DOUBLE_EQ(E.ParallelNs, 0.25e6 + 2 * kWaveNs);
+  EXPECT_FALSE(E.serial());
+  // Break-even where Work * c * (1 - 1/4) = 2 waves * b: Work 2,667.
+  EXPECT_TRUE(estimateExec(S, 2600, 4, kUnitNs, kWaveNs).serial());
+  EXPECT_FALSE(estimateExec(S, 2700, 4, kUnitNs, kWaveNs).serial());
+#ifdef _OPENMP
+  EXPECT_EQ(estimateExec(S, 1e6).Team, 4);
+#else
+  EXPECT_TRUE(preferSerial(S, 1e12)); // the team is one thread
+#endif
+}
+
+TEST(PreferSerial, ChainRunsSerially) {
+  // Every wave holds one node, so the critical path is all the work and no
+  // amount of it pays for a barrier.
+  DependenceGraph G(64);
+  for (int I = 0; I + 1 < 64; ++I)
+    G.addEdge(I, I + 1);
+  G.finalize();
+  for (ScheduleKind Kind : kAllKinds) {
+    CompiledSchedule S = buildSchedule(G, config(Kind, 4));
+    EXPECT_EQ(S.CritNodes, S.Nodes) << scheduleKindName(Kind);
+    EXPECT_TRUE(estimateExec(S, 1e12, 4, kUnitNs, kWaveNs).serial())
+        << scheduleKindName(Kind);
+    EXPECT_TRUE(preferSerial(S, 1e12)) << scheduleKindName(Kind);
+  }
+}
