@@ -13,13 +13,15 @@
 // The cache is cleared before each thread-count configuration so the
 // cache/prefilter figures describe exactly one cold full-suite pass. The
 // serial pass also reports the solver's work counters (simplex solves and
-// pivots, branch-and-bound nodes); they are trace-gated, so tracing is on
-// for that pass.
+// pivots, branch-and-bound nodes), which are trace-gated, and the solves
+// that left the simplex's int64 cells (`presburger.simplex_promotions`, a
+// metrics counter), so tracing and metrics are on for that pass.
 //
 //===----------------------------------------------------------------------===//
 
 #include "BenchCommon.h"
 #include "sds/deps/Pipeline.h"
+#include "sds/obs/Metrics.h"
 #include "sds/obs/Trace.h"
 
 #include <cstdio>
@@ -65,9 +67,11 @@ int main(int argc, char **argv) {
     Opts.NumThreads = NT;
     std::map<std::string, double> Stage;
     std::string Print;
-    bool WasTracing = obs::enabled();
-    if (NT == 1)
+    bool WasTracing = obs::enabled(), WasMetrics = obs::metricsEnabled();
+    if (NT == 1) {
       obs::setEnabled(true);
+      obs::setMetricsEnabled(true);
+    }
     double Seconds = bench::timeOf([&] {
       for (const kernels::Kernel &K : Suite) {
         PipelineResult R = analyzeKernel(K, Opts);
@@ -77,6 +81,7 @@ int main(int argc, char **argv) {
       }
     });
     obs::setEnabled(WasTracing);
+    obs::setMetricsEnabled(WasMetrics);
     presburger::QueryCacheStats QC = presburger::queryCacheStats();
     presburger::PrefilterStats PF = presburger::prefilterStats();
     if (NT == 1) {
@@ -85,6 +90,9 @@ int main(int argc, char **argv) {
       Report.set("t1_simplex_solves", obs::counter("simplex.solves").value());
       Report.set("t1_simplex_pivots", obs::counter("simplex.pivots").value());
       Report.set("t1_bnb_nodes", obs::counter("basicset.bnb_nodes").value());
+      Report.set(
+          "t1_simplex_promotions",
+          obs::metricCounter("presburger.simplex_promotions").value());
     }
     bool Identical = Print == SerialPrint;
     double Speedup = Seconds > 0 ? SerialSeconds / Seconds : 0;

@@ -11,8 +11,10 @@
 // Problems are given as systems of linear equalities/inequalities over free
 // (sign-unrestricted) variables; internally each free variable is split into
 // a difference of two nonnegative variables and slacks/artificials are
-// added. Bland's rule guarantees termination. All arithmetic is exact; on
-// 128-bit overflow the solver reports `Error` and callers degrade to a
+// added. Bland's rule guarantees termination. All arithmetic is exact:
+// tableau rows hold int64 numerators over one denominator per row, a solve
+// that overflows int64 is run again on 128-bit cells, and on 128-bit
+// overflow the solver reports `Error` and callers degrade to a
 // conservative answer.
 //
 //===----------------------------------------------------------------------===//
@@ -83,6 +85,14 @@ private:
   };
 
   LPStatus solve(const std::vector<int64_t> *Obj, Fraction &ObjValue);
+  /// Both phases on a tableau of `Int` cells over the rows `Active` (add
+  /// order). Returns nullopt when a cell left the range of int64 cells
+  /// (LPStatus::Error on 128-bit cells); `Pivots` receives the simplex
+  /// iterations run.
+  template <typename Int>
+  std::optional<LPStatus> solveWith(const std::vector<unsigned> &Active,
+                                    const std::vector<int64_t> *Obj,
+                                    Fraction &ObjValue, uint64_t &Pivots);
 
   unsigned NumVars;
   std::vector<RowRec> Rows;

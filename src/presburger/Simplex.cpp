@@ -6,10 +6,12 @@
 
 #include "sds/presburger/Simplex.h"
 
+#include "sds/obs/Metrics.h"
 #include "sds/obs/Trace.h"
 #include "sds/presburger/Budget.h"
 
 #include <cassert>
+#include <type_traits>
 
 namespace sds {
 namespace presburger {
@@ -37,46 +39,71 @@ LPStatus Simplex::minimize(const std::vector<int64_t> &Obj,
 
 namespace {
 
-/// Backing storage for one tableau, kept per-thread so the thousands of
-/// short-lived solves issued by the emptiness test reuse one grown-to-fit
-/// allocation instead of paying three heap allocations per solve. The
-/// InUse flag guards against (currently nonexistent) reentrant solves:
-/// branch-and-bound recursion happens strictly after each solve returns,
-/// but if a nested solve ever appears it falls back to owned storage
-/// rather than corrupting the borrowed buffers.
-struct TableauScratch {
-  std::vector<Fraction> Cells;
-  std::vector<Fraction> ObjRow;
+/// Checked cell arithmetic: the result is unspecified once `Ov` is set.
+template <typename Int> Int mulC(Int A, Int B, bool &Ov) {
+  Int R;
+  Ov |= __builtin_mul_overflow(A, B, &R);
+  return R;
+}
+template <typename Int> Int subC(Int A, Int B, bool &Ov) {
+  Int R;
+  Ov |= __builtin_sub_overflow(A, B, &R);
+  return R;
+}
+
+/// gcd(|A|, B) for B > 0; |A| is taken in the unsigned type, so the most
+/// negative value needs no special case.
+template <typename Int> Int gcdWith(Int A, Int B) {
+  using U = std::make_unsigned_t<Int>;
+  U X = A < 0 ? U(0) - U(A) : U(A), Y = U(B);
+  while (X != 0) {
+    U T = Y % X;
+    Y = X;
+    X = T;
+  }
+  return Int(Y);
+}
+
+/// Backing storage for one tableau, kept per thread and per cell type so
+/// the thousands of short-lived solves issued by the emptiness test reuse
+/// one grown-to-fit allocation instead of paying heap allocations per
+/// solve. The InUse flag guards against (currently nonexistent) reentrant
+/// solves: branch-and-bound recursion happens strictly after each solve
+/// returns, but if a nested solve ever appears it falls back to owned
+/// storage rather than corrupting the borrowed buffers.
+template <typename Int> struct TableauScratch {
+  std::vector<Int> Cells;
+  std::vector<Int> Den;
   std::vector<unsigned> Basis;
+  std::vector<unsigned> Support;
   bool InUse = false;
 };
 
-TableauScratch &tableauScratch() {
-  thread_local TableauScratch S;
-  return S;
-}
-
-/// Dense simplex tableau with an explicit reduced-cost row. Storage is
-/// borrowed from the thread-local scratch when available.
-class Tableau {
+/// Simplex tableau with an explicit reduced-cost row, stored row-scaled:
+/// row R holds integer numerators over one positive denominator den(R),
+/// kept coprime to them, so the cell at (R, C) is at(R, C) / den(R). Row
+/// NumRows is the reduced-cost (objective) row and column NumCols the
+/// right-hand side. Every operation is exact; a result outside `Int`
+/// sets the sticky overflow flag, which the caller answers by solving
+/// again with a wider `Int` (int64 first, then __int128).
+template <typename Int> class Tableau {
 public:
   Tableau(unsigned NumRows, unsigned NumCols)
       : NumRows(NumRows), NumCols(NumCols) {
-    TableauScratch &S = tableauScratch();
-    if (!S.InUse) {
-      S.InUse = true;
-      Scratch = &S;
-      CellsP = &S.Cells;
-      ObjRowP = &S.ObjRow;
-      BasisP = &S.Basis;
-    } else {
-      CellsP = &OwnedCells;
-      ObjRowP = &OwnedObjRow;
-      BasisP = &OwnedBasis;
+    static thread_local TableauScratch<Int> Shared;
+    TableauScratch<Int> *S = &Owned;
+    if (!Shared.InUse) {
+      Shared.InUse = true;
+      S = Scratch = &Shared;
     }
-    CellsP->assign(static_cast<size_t>(NumRows) * (NumCols + 1), Fraction());
-    ObjRowP->assign(NumCols + 1, Fraction());
-    BasisP->assign(NumRows, ~0u);
+    S->Cells.assign(static_cast<size_t>(NumRows + 1) * (NumCols + 1), Int(0));
+    S->Den.assign(NumRows + 1, Int(1));
+    S->Basis.assign(NumRows, ~0u);
+    S->Support.clear();
+    Cells = S->Cells.data();
+    Den = S->Den.data();
+    Basis = S->Basis.data();
+    Support = &S->Support;
   }
 
   Tableau(const Tableau &) = delete;
@@ -87,47 +114,81 @@ public:
       Scratch->InUse = false;
   }
 
-  Fraction &at(unsigned R, unsigned C) {
-    return (*CellsP)[static_cast<size_t>(R) * (NumCols + 1) + C];
+  Int *row(unsigned R) {
+    return Cells + static_cast<size_t>(R) * (NumCols + 1);
   }
-  Fraction &rhs(unsigned R) { return at(R, NumCols); }
-  Fraction &obj(unsigned C) { return (*ObjRowP)[C]; }
-  Fraction &objVal() { return (*ObjRowP)[NumCols]; }
+  Int &at(unsigned R, unsigned C) { return row(R)[C]; }
+  Int &rhs(unsigned R) { return at(R, NumCols); }
+  Int &den(unsigned R) { return Den[R]; }
+  Int &obj(unsigned C) { return at(NumRows, C); }
+  Int &objVal() { return obj(NumCols); }
+  Int &objDen() { return den(NumRows); }
 
-  unsigned basis(unsigned R) const { return (*BasisP)[R]; }
-  void setBasis(unsigned R, unsigned C) { (*BasisP)[R] = C; }
+  /// Cell (R, C) as an exact rational, for the API boundary.
+  Fraction value(unsigned R, unsigned C) { return Fraction(at(R, C), den(R)); }
 
-  bool overflowed() const { return Overflow; }
+  unsigned basis(unsigned R) const { return Basis[R]; }
+  void setBasis(unsigned R, unsigned C) { Basis[R] = C; }
 
   /// Pivot on (R, C): make column C basic in row R.
   void pivot(unsigned R, unsigned C) {
-    Fraction P = at(R, C);
-    assert(!P.isZero() && "pivot on zero cell");
-    // Normalize the pivot row.
-    for (unsigned J = 0; J <= NumCols; ++J) {
-      at(R, J) = at(R, J) / P;
-      Overflow |= at(R, J).overflowed();
-    }
-    // Eliminate column C from all other rows and the objective row.
-    for (unsigned I = 0; I < NumRows; ++I) {
-      if (I == R)
-        continue;
-      Fraction F = at(I, C);
-      if (F.isZero())
-        continue;
-      for (unsigned J = 0; J <= NumCols; ++J) {
-        at(I, J) = at(I, J) - F * at(R, J);
-        Overflow |= at(I, J).overflowed();
-      }
-    }
-    Fraction F = obj(C);
-    if (!F.isZero()) {
-      for (unsigned J = 0; J <= NumCols; ++J) {
-        obj(J) = obj(J) - F * at(R, J);
-        Overflow |= obj(J).overflowed();
-      }
-    }
+    assert(at(R, C) != 0 && "pivot on zero cell");
+    // Divide row R by its pivot cell: the old denominator cancels.
+    Int *PR = row(R);
+    if (PR[C] < 0)
+      for (unsigned J = 0; J <= NumCols; ++J)
+        PR[J] = subC(Int(0), PR[J], Overflow);
+    if (Overflow)
+      return;
+    den(R) = PR[C];
+    reduce(R);
+    collectSupport(R);
+    for (unsigned I = 0; I <= NumRows; ++I)
+      if (I != R && at(I, C) != 0)
+        eliminate(I, R, C);
     setBasis(R, C);
+  }
+
+  /// Record row R's nonzero columns for the eliminations that follow.
+  void collectSupport(unsigned R) {
+    Support->clear();
+    const Int *PR = row(R);
+    for (unsigned J = 0; J <= NumCols; ++J)
+      if (PR[J] != 0)
+        Support->push_back(J);
+  }
+
+  /// Zero column C of row I by subtracting a multiple of row R, whose
+  /// value at C is 1 and whose nonzero columns collectSupport(R) listed.
+  /// Only those columns change, unless den(R) does not divide the
+  /// multiple; then row I is first rescaled to the common denominator.
+  void eliminate(unsigned I, unsigned R, unsigned C) {
+    Int *PI = row(I);
+    const Int *PR = row(R);
+    Int G = gcdWith(PI[C], den(R));
+    Int Scale = den(R) / G, F = PI[C] / G;
+    if (Scale != 1) {
+      for (unsigned J = 0; J <= NumCols; ++J)
+        PI[J] = mulC(PI[J], Scale, Overflow);
+      den(I) = mulC(den(I), Scale, Overflow);
+    }
+    for (unsigned J : *Support)
+      PI[J] = subC(PI[J], mulC(F, PR[J], Overflow), Overflow);
+    reduce(I);
+  }
+
+  /// Divide row R and its denominator by their common gcd.
+  void reduce(unsigned R) {
+    Int G = den(R);
+    Int *PR = row(R);
+    for (unsigned J = 0; J <= NumCols && G != 1; ++J)
+      if (PR[J] != 0)
+        G = gcdWith(PR[J], G);
+    if (G == 1 || Overflow)
+      return;
+    for (unsigned J = 0; J <= NumCols; ++J)
+      PR[J] /= G;
+    den(R) /= G;
   }
 
   /// Run simplex until optimal/unbounded/overflow: Dantzig's rule (most
@@ -137,8 +198,9 @@ public:
   /// LPStatus::Error — callers degrade to a conservative Unknown, so the
   /// budget bounds latency without ever flipping a verdict.
   /// `Allowed` masks which columns may enter the basis (may be null).
+  /// Every cell of a row shares its denominator, so reduced costs compare
+  /// by numerator and ratios rhs/a by cross-multiplying numerators.
   LPStatus iterate(const std::vector<bool> *Allowed) {
-    static obs::Counter &PivotCount = obs::counter("simplex.pivots");
     static obs::Counter &BudgetHits = obs::counter("simplex.budget_exhausted");
     unsigned Pivots = 0;
     const unsigned BlandAfter = 500;
@@ -146,7 +208,7 @@ public:
     while (true) {
       if (Overflow)
         return LPStatus::Error;
-      PivotCount.add();
+      ++Iterations;
       if (Pivots >= MaxPivots) {
         BudgetHits.add();
         notePivotBudgetExhaustion();
@@ -154,11 +216,10 @@ public:
       }
       bool Bland = ++Pivots > BlandAfter;
       unsigned Enter = NumCols;
-      Fraction Zero(0);
       for (unsigned J = 0; J < NumCols; ++J) {
         if (Allowed && !(*Allowed)[J])
           continue;
-        if (!(obj(J) < Zero))
+        if (obj(J) >= 0)
           continue;
         if (Enter == NumCols || (!Bland && obj(J) < obj(Enter))) {
           Enter = J;
@@ -170,18 +231,12 @@ public:
         return LPStatus::Optimal;
       // Leaving row: min ratio; ties broken by smallest basis index (Bland).
       unsigned Leave = NumRows;
-      Fraction BestRatio(0);
       for (unsigned I = 0; I < NumRows; ++I) {
-        if (!(at(I, Enter) > Zero))
+        if (at(I, Enter) <= 0)
           continue;
-        Fraction Ratio = rhs(I) / at(I, Enter);
-        if (Ratio.overflowed())
-          return LPStatus::Error;
-        if (Leave == NumRows || Ratio < BestRatio ||
-            (Ratio == BestRatio && basis(I) < basis(Leave))) {
+        int Cmp = Leave == NumRows ? -1 : compareRatios(I, Leave, Enter);
+        if (Cmp < 0 || (Cmp == 0 && basis(I) < basis(Leave)))
           Leave = I;
-          BestRatio = Ratio;
-        }
       }
       if (Leave == NumRows)
         return LPStatus::Unbounded;
@@ -190,22 +245,37 @@ public:
   }
 
   unsigned NumRows, NumCols;
+  /// Simplex iterations run by iterate(), the `simplex.pivots` figure.
+  uint64_t Iterations = 0;
+  /// Sticky: some cell left the range of `Int`.
+  bool Overflow = false;
 
 private:
-  TableauScratch *Scratch = nullptr;
-  std::vector<Fraction> *CellsP = nullptr;
-  std::vector<Fraction> *ObjRowP = nullptr;
-  std::vector<unsigned> *BasisP = nullptr;
-  std::vector<Fraction> OwnedCells;
-  std::vector<Fraction> OwnedObjRow;
-  std::vector<unsigned> OwnedBasis;
-  bool Overflow = false;
+  /// Sign of rhs(I)/at(I, C) - rhs(K)/at(K, C) for positive at(., C).
+  int compareRatios(unsigned I, unsigned K, unsigned C) {
+    Int128 L, R;
+    if (!__builtin_mul_overflow(Int128(rhs(I)), Int128(at(K, C)), &L) &&
+        !__builtin_mul_overflow(Int128(rhs(K)), Int128(at(I, C)), &R))
+      return (L > R) - (L < R);
+    // Only 128-bit cells get here; Fraction compares by long division.
+    return Fraction(rhs(I), at(I, C)).compare(Fraction(rhs(K), at(K, C)));
+  }
+
+  TableauScratch<Int> *Scratch = nullptr;
+  TableauScratch<Int> Owned;
+  Int *Cells = nullptr;
+  Int *Den = nullptr;
+  unsigned *Basis = nullptr;
+  std::vector<unsigned> *Support = nullptr;
 };
 
 } // namespace
 
 LPStatus Simplex::solve(const std::vector<int64_t> *Obj, Fraction &ObjValue) {
   static obs::Counter &Solves = obs::counter("simplex.solves");
+  static obs::Counter &PivotCount = obs::counter("simplex.pivots");
+  static obs::MetricCounter &Promotions =
+      obs::metricCounter("presburger.simplex_promotions");
   Solves.add();
   Core.clear();
   // Quick scan: constraints with no variable part decide themselves.
@@ -232,18 +302,7 @@ LPStatus Simplex::solve(const std::vector<int64_t> *Obj, Fraction &ObjValue) {
     Active.push_back(RI);
   }
 
-  unsigned NumIneq = 0;
-  for (unsigned RI : Active)
-    if (!Rows[RI].IsEq)
-      ++NumIneq;
-
-  unsigned M = static_cast<unsigned>(Active.size());
-  // Columns: p_0..p_{n-1}, q_0..q_{n-1}, slacks, artificials.
-  unsigned PBase = 0, QBase = NumVars, SBase = 2 * NumVars,
-           ABase = 2 * NumVars + NumIneq;
-  unsigned NumCols = ABase + M;
-
-  if (M == 0) {
+  if (Active.empty()) {
     // System is trivially satisfiable; the origin works.
     Sample.assign(NumVars, Fraction(0));
     if (Obj) {
@@ -256,56 +315,94 @@ LPStatus Simplex::solve(const std::vector<int64_t> *Obj, Fraction &ObjValue) {
     return LPStatus::Optimal;
   }
 
-  Tableau T(M, NumCols);
+  // int64 cells cover every system the dependence analysis produces; a
+  // solve that leaves that range is run again from the start on __int128
+  // cells, and exact arithmetic makes it take the same pivots.
+  uint64_t Pivots = 0;
+  std::optional<LPStatus> S = solveWith<int64_t>(Active, Obj, ObjValue, Pivots);
+  if (!S) {
+    Promotions.add();
+    S = solveWith<Int128>(Active, Obj, ObjValue, Pivots);
+  }
+  PivotCount.add(Pivots);
+  return S.value_or(LPStatus::Error);
+}
+
+template <typename Int>
+std::optional<LPStatus> Simplex::solveWith(const std::vector<unsigned> &Active,
+                                           const std::vector<int64_t> *Obj,
+                                           Fraction &ObjValue,
+                                           uint64_t &Pivots) {
+  unsigned NumIneq = 0;
+  for (unsigned RI : Active)
+    if (!Rows[RI].IsEq)
+      ++NumIneq;
+
+  unsigned M = static_cast<unsigned>(Active.size());
+  // Columns: p_0..p_{n-1}, q_0..q_{n-1}, slacks, artificials.
+  unsigned PBase = 0, QBase = NumVars, SBase = 2 * NumVars,
+           ABase = 2 * NumVars + NumIneq;
+  unsigned NumCols = ABase + M;
+
+  Tableau<Int> T(M, NumCols);
+  bool &Ov = T.Overflow;
+  // Overflow of this cell type: the caller retries on a wider one, or
+  // reports LPStatus::Error from the widest. iterate() stops at once on
+  // an overflow left by the set-up code.
+  auto Done = [&](LPStatus St) -> std::optional<LPStatus> {
+    Pivots = T.Iterations;
+    if (!Ov)
+      return St;
+    if (std::is_same_v<Int, Int128>)
+      return LPStatus::Error;
+    return std::nullopt;
+  };
   unsigned SlackIdx = 0;
   for (unsigned I = 0; I < M; ++I) {
     const RowRec &R = Rows[Active[I]];
     // a.x + c (>=|==) 0  becomes  a.(p-q) [- s] = -c ; flip so RHS >= 0.
-    int64_t Rhs64 = -R.Coeffs[NumVars];
-    int Sign = Rhs64 < 0 ? -1 : 1;
+    Int Rhs = subC(Int(0), Int(R.Coeffs[NumVars]), Ov);
+    Int Sign = Rhs < 0 ? -1 : 1;
     for (unsigned J = 0; J < NumVars; ++J) {
-      int64_t A = R.Coeffs[J] * Sign;
-      T.at(I, PBase + J) = Fraction(A);
-      T.at(I, QBase + J) = Fraction(-A);
+      Int A = mulC(Int(R.Coeffs[J]), Sign, Ov);
+      T.at(I, PBase + J) = A;
+      T.at(I, QBase + J) = subC(Int(0), A, Ov);
     }
     if (!R.IsEq) {
-      T.at(I, SBase + SlackIdx) = Fraction(-Sign);
+      T.at(I, SBase + SlackIdx) = -Sign;
       ++SlackIdx;
     }
-    T.at(I, ABase + I) = Fraction(1);
-    T.rhs(I) = Fraction(Sign < 0 ? -Rhs64 : Rhs64);
+    T.at(I, ABase + I) = 1;
+    T.rhs(I) = mulC(Rhs, Sign, Ov);
     T.setBasis(I, ABase + I);
   }
 
   // Phase 1: minimize the sum of artificials. Reduced costs: cost 1 on each
   // artificial, priced out against the artificial basis.
-  for (unsigned J = 0; J <= NumCols; ++J)
-    T.obj(J) = Fraction(0);
   for (unsigned I = 0; I < M; ++I)
-    T.obj(ABase + I) = Fraction(1);
+    T.obj(ABase + I) = 1;
   for (unsigned I = 0; I < M; ++I) {
     // Basic artificial with cost 1: subtract its row from the objective.
     for (unsigned J = 0; J <= NumCols; ++J)
-      T.obj(J) = T.obj(J) - T.at(I, J);
+      T.obj(J) = subC(T.obj(J), T.at(I, J), Ov);
   }
 
   LPStatus S = T.iterate(/*Allowed=*/nullptr);
   if (S == LPStatus::Error)
-    return S;
+    return Done(S);
   assert(S != LPStatus::Unbounded && "phase-1 objective is bounded below");
   // Feasible iff the phase-1 optimum is zero, i.e. -objVal == 0.
-  if (!T.objVal().isZero()) {
+  if (T.objVal() != 0) {
     // Farkas certificate: at the phase-1 optimum the dual weight of row I
-    // is y_I = 1 - obj(ABase+I) (reduced cost of its artificial column).
-    // Rows with y_I == 0 contribute nothing to the certificate, so the
-    // nonzero-weight subsystem is itself infeasible — an unsat core.
-    if (!T.overflowed()) {
-      Fraction One(1);
-      for (unsigned I = 0; I < M; ++I)
-        if (T.obj(ABase + I) != One)
-          Core.push_back(Active[I]);
-    }
-    return LPStatus::Infeasible;
+    // is y_I = 1 - obj(ABase+I) (reduced cost of its artificial column),
+    // which is zero exactly when that cell's numerator equals the
+    // objective row's denominator. Rows with y_I == 0 contribute nothing
+    // to the certificate, so the nonzero-weight subsystem is itself
+    // infeasible — an unsat core.
+    for (unsigned I = 0; I < M; ++I)
+      if (T.obj(ABase + I) != T.objDen())
+        Core.push_back(Active[I]);
+    return Done(LPStatus::Infeasible);
   }
 
   // Drive any remaining basic artificials out (or detect redundant rows).
@@ -314,7 +411,7 @@ LPStatus Simplex::solve(const std::vector<int64_t> *Obj, Fraction &ObjValue) {
       continue;
     unsigned Col = NumCols;
     for (unsigned J = 0; J < ABase; ++J)
-      if (!T.at(I, J).isZero()) {
+      if (T.at(I, J) != 0) {
         Col = J;
         break;
       }
@@ -323,36 +420,37 @@ LPStatus Simplex::solve(const std::vector<int64_t> *Obj, Fraction &ObjValue) {
     // Otherwise the row is redundant; the artificial stays basic at zero,
     // which is harmless as long as artificial columns never re-enter.
   }
-  if (T.overflowed())
-    return LPStatus::Error;
+  if (Ov)
+    return Done(LPStatus::Error);
 
   std::vector<bool> Allowed(NumCols, true);
   for (unsigned I = 0; I < M; ++I)
     Allowed[ABase + I] = false;
 
   if (Obj) {
-    // Phase 2: install the real objective and price out the basis.
+    // Phase 2: install the real objective and price out the basis, which
+    // eliminates each basic column from the objective row by its row.
     for (unsigned J = 0; J <= NumCols; ++J)
-      T.obj(J) = Fraction(0);
+      T.obj(J) = 0;
+    T.objDen() = 1;
     for (unsigned J = 0; J < NumVars; ++J) {
-      T.obj(PBase + J) = Fraction((*Obj)[J]);
-      T.obj(QBase + J) = Fraction(-(*Obj)[J]);
+      T.obj(PBase + J) = (*Obj)[J];
+      T.obj(QBase + J) = subC(Int(0), Int((*Obj)[J]), Ov);
     }
     for (unsigned I = 0; I < M; ++I) {
       unsigned B = T.basis(I);
-      Fraction C = T.obj(B);
-      if (C.isZero())
+      if (T.obj(B) == 0)
         continue;
-      for (unsigned J = 0; J <= NumCols; ++J)
-        T.obj(J) = T.obj(J) - C * T.at(I, J);
+      T.collectSupport(I);
+      T.eliminate(M, I, B);
     }
     S = T.iterate(&Allowed);
     if (S != LPStatus::Optimal)
-      return S;
+      return Done(S);
     // objVal holds -(c.x_B); optimum of c.x is its negation plus constant.
-    ObjValue = -T.objVal() + Fraction((*Obj)[NumVars]);
+    ObjValue = -T.value(M, NumCols) + Fraction((*Obj)[NumVars]);
     if (ObjValue.overflowed())
-      return LPStatus::Error;
+      return Done(LPStatus::Error);
   }
 
   // Extract the sample point x = p - q.
@@ -360,17 +458,17 @@ LPStatus Simplex::solve(const std::vector<int64_t> *Obj, Fraction &ObjValue) {
   for (unsigned I = 0; I < M; ++I) {
     unsigned B = T.basis(I);
     if (B < QBase)
-      P[B - PBase] = T.rhs(I);
+      P[B - PBase] = T.value(I, NumCols);
     else if (B < SBase)
-      Q[B - QBase] = T.rhs(I);
+      Q[B - QBase] = T.value(I, NumCols);
   }
   Sample.assign(NumVars, Fraction(0));
   for (unsigned J = 0; J < NumVars; ++J) {
     Sample[J] = P[J] - Q[J];
     if (Sample[J].overflowed())
-      return LPStatus::Error;
+      return Done(LPStatus::Error);
   }
-  return LPStatus::Optimal;
+  return Done(LPStatus::Optimal);
 }
 
 } // namespace presburger

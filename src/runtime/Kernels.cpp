@@ -193,6 +193,8 @@ namespace {
 
 /// One left-looking Cholesky column step using a dense gather buffer `W`
 /// (caller provides a zeroed buffer; it is cleaned up before returning).
+/// `AVal` holds A's values; it may be `L.Val` itself, since only step J
+/// writes column J and it gathers that column before writing it.
 void leftCholColumn(CSCMatrix &L, const std::vector<double> &AVal,
                     const PruneSets &Rows, int J, std::vector<double> &W) {
   // Gather A(:, J) restricted to the pattern.
@@ -653,7 +655,6 @@ ExecEstimate incompleteCholeskyCSCScheduled(CSCMatrix &L,
 }
 
 ExecEstimate leftCholeskyCSCScheduled(CSCMatrix &L, const CompiledSchedule &S) {
-  std::vector<double> AVal = L.Val;
   PruneSets Rows = buildPruneSets(L);
   ExecEstimate E = decide(S, leftCholeskyWork(L, Rows));
   // One dense gather buffer per executing thread (thread ids are always
@@ -662,7 +663,7 @@ ExecEstimate leftCholeskyCSCScheduled(CSCMatrix &L, const CompiledSchedule &S) {
   std::vector<std::vector<double>> W(
       Buffers, std::vector<double>(static_cast<size_t>(L.N), 0.0));
   return runPlan(S, L.N, E, [&](int J, int T, auto) {
-    leftCholColumn(L, AVal, Rows, J, W[static_cast<size_t>(T)]);
+    leftCholColumn(L, L.Val, Rows, J, W[static_cast<size_t>(T)]);
   });
 }
 
