@@ -13,9 +13,11 @@
 // The cache is cleared before each thread-count configuration so the
 // cache/prefilter figures describe exactly one cold full-suite pass. The
 // serial pass also reports the solver's work counters (simplex solves and
-// pivots, branch-and-bound nodes), which are trace-gated, and the solves
+// pivots, branch-and-bound nodes), which are trace-gated, the solves
 // that left the simplex's int64 cells (`presburger.simplex_promotions`, a
-// metrics counter), so tracing and metrics are on for that pass.
+// metrics counter) and phase 2's case-split work (`ir.phase2_pieces`
+// children built, `ir.phase2_checks` emptiness checks issued; metrics
+// counters), so tracing and metrics are on for that pass.
 //
 //===----------------------------------------------------------------------===//
 
@@ -93,6 +95,10 @@ int main(int argc, char **argv) {
       Report.set(
           "t1_simplex_promotions",
           obs::metricCounter("presburger.simplex_promotions").value());
+      Report.set("t1_phase2_pieces",
+                 obs::metricCounter("ir.phase2_pieces").value());
+      Report.set("t1_phase2_checks",
+                 obs::metricCounter("ir.phase2_checks").value());
     }
     bool Identical = Print == SerialPrint;
     double Speedup = Seconds > 0 ? SerialSeconds / Seconds : 0;

@@ -15,6 +15,7 @@
 //   analyze_kernel --trace out.json fs_csr  # + end-to-end traced run; dump
 //                                           #   Chrome trace-event JSON
 //   analyze_kernel --stats fs_csr           # + aggregate span/counter report
+//                                           #   and phase-2 case-split counts
 //   analyze_kernel --n 500 --trace t.json gs_csr   # bigger traced matrix
 //   analyze_kernel --emit-artifact=fs.ck.json fs_csc   # compile once...
 //   analyze_kernel --load-artifact=fs.ck.json fs_csc   # ...run many: skip
@@ -287,7 +288,7 @@ int analyzeOne(const std::string &Key, kernels::Kernel K, bool Traced,
                int N, int Threads, double BudgetMs,
                std::optional<rt::ScheduleKind> ScheduleKind,
                const GuardFlags &GF, const ArtifactFlags &AF,
-               const std::string &Explain, bool Infer) {
+               const std::string &Explain, bool Infer, bool ViaEngine) {
   std::printf("=== %s ===\n%s\n", K.Name.c_str(), K.str().c_str());
   ir::PropertySet InferredProps;
   if (Infer) {
@@ -334,7 +335,7 @@ int analyzeOne(const std::string &Key, kernels::Kernel K, bool Traced,
     if (WarmS > 0 && ColdS > 0)
       std::printf(", %.0fx faster", ColdS / WarmS);
     std::printf(")\n");
-  } else if (obs::metricsEnabled()) {
+  } else if (ViaEngine) {
     // --metrics routes the compile through an Engine so the snapshot's
     // engine.kernel.* histograms and warm/cold gauges carry samples:
     // first call fills cold, second hits the kernel tier warm.
@@ -519,7 +520,9 @@ int main(int argc, char **argv) {
                 GF.Mode != guard::GuardMode::Off;
   if (!TracePath.empty() || Stats)
     obs::setEnabled(true);
-  if (Metrics)
+  // --stats reads the phase-2 counters, which live in the metrics
+  // registry.
+  if (Metrics || Stats)
     obs::setMetricsEnabled(true);
 
   std::string Which = Positional[0];
@@ -532,7 +535,7 @@ int main(int argc, char **argv) {
     }
     for (auto &[Key, K] : Kernels)
       if (int RC = analyzeOne(Key, K, Traced, N, Threads, BudgetMs,
-                              ScheduleKind, GF, {}, Explain, Infer))
+                              ScheduleKind, GF, {}, Explain, Infer, Metrics))
         return RC;
   } else {
     auto It = Kernels.find(Which);
@@ -570,12 +573,22 @@ int main(int argc, char **argv) {
     }
 
     if (int RC = analyzeOne(Which, K, Traced, N, Threads, BudgetMs,
-                            ScheduleKind, GF, AF, Explain, Infer))
+                            ScheduleKind, GF, AF, Explain, Infer, Metrics))
       return RC;
   }
 
-  if (Stats)
+  if (Stats) {
     std::printf("%s\n", obs::statsJSON().c_str());
+    auto Count = [](const char *Name) {
+      return static_cast<unsigned long long>(
+          obs::metricCounter(Name).value());
+    };
+    std::printf("phase 2: %llu pieces built, %llu emptiness checks, %llu "
+                "skipped by a carried point, %llu splits dropped\n",
+                Count("ir.phase2_pieces"), Count("ir.phase2_checks"),
+                Count("ir.phase2_inherited"),
+                Count("ir.phase2_splits_dropped"));
+  }
   if (Metrics) {
     if (!obs::writeMetrics(MetricsPath)) {
       std::fprintf(stderr, "cannot write metrics to '%s'\n",

@@ -65,6 +65,81 @@ Flattened flatten(const Conjunction &C,
 /// [InVars, OutVars, ExistVars, params..., calls...].
 Flattened flatten(const SparseRelation &R);
 
+/// A relation's conjunction (the base) and any number of extra constraints
+/// (literals) lowered once onto one shared column space, so that a
+/// conjunction "base plus a stack of literals" becomes a polyhedron without
+/// copying a Conjunction or flattening it again. Phase 2 of §6.2 builds
+/// its case-split pieces this way.
+///
+/// assemble() reproduces flatten(R) for the relation whose conjunction is
+/// the base with the stack's literals added in order through
+/// Conjunction::add (so exact duplicates and trivially-true literals are
+/// dropped): the same columns in the same order, the same rows in the same
+/// order, the same row provenance. Points are exchanged in *global*
+/// coordinates, one value per column of the shared space; a column a point
+/// predates reads 0.
+class LoweredSpace {
+public:
+  LoweredSpace(const SparseRelation &R, const Conjunction &Base);
+
+  /// Lower `C` as a literal and return its id; equal literals share one.
+  unsigned addLiteral(const Constraint &C);
+  const Constraint &literal(unsigned Id) const { return Lits[Id].C; }
+
+  /// One assembled piece. `F` carries Set, Names and the row provenance
+  /// (indices into the piece's constraint list: the base's constraints,
+  /// then the literals of `Kept`); F.Cols and F.ColIndex stay empty.
+  struct Piece {
+    Flattened F;
+    std::vector<unsigned> Kept;   ///< literal ids that survived dedup
+    std::vector<unsigned> Global; ///< global column of each column of F
+  };
+  void assemble(const std::vector<unsigned> &Stack, Piece &Out) const;
+
+  /// The constraint behind row-provenance index `CI` of piece `P`.
+  const Constraint &constraintOf(const Piece &P, unsigned CI) const;
+
+  /// Does the global point `Point` satisfy literal `Id`? Exact in 128 bits;
+  /// an overflowing value counts as violated.
+  bool satisfies(unsigned Id, const std::vector<int64_t> &Point) const;
+
+  /// A point of piece `P`'s set (one value per column of P.F) in global
+  /// coordinates; columns outside the piece read 0.
+  std::vector<int64_t> lift(const Piece &P,
+                            const std::vector<int64_t> &Point) const;
+
+private:
+  /// A constraint as sparse global-column terms, plus the non-tuple
+  /// variable columns it mentions (appearance order, as
+  /// Conjunction::collectVars walks it) and its call columns.
+  struct Row {
+    std::vector<std::pair<unsigned, int64_t>> Terms;
+    int64_t Const = 0;
+    bool IsEq = false;
+    std::vector<unsigned> Vars, Calls;
+  };
+  struct Literal {
+    Constraint C;
+    Row L;
+    bool Live = true; ///< false: trivially true or part of the base
+  };
+
+  unsigned columnOf(const Atom &A);
+  Row lower(const Constraint &C);
+
+  unsigned NumTuple = 0;          ///< leading columns: In, Out, Exist vars
+  std::vector<std::string> Names; ///< per global column
+  std::vector<Atom> Atoms;        ///< per global column
+  std::map<std::string, unsigned> Index;
+  std::vector<unsigned> CallRank; ///< per global column: rank among calls
+  std::vector<unsigned> BaseVars, BaseCalls;
+  /// The base's constraints first (ids 0 .. NumBase-1, never Live), then
+  /// the literals added since.
+  std::vector<Literal> Lits;
+  unsigned NumBase = 0;
+  std::map<std::string, unsigned> LitIds; ///< OriginMap::keyOf -> id
+};
+
 /// Integer points that earlier emptiness solves found, keyed by column
 /// name (Flattened::Names), so a point found for one flattened set can
 /// answer a later set over the same atoms. Nearly every emptiness query of
@@ -82,11 +157,14 @@ public:
   /// point with a value for every column that satisfies every row
   /// (checked exactly) answers False; otherwise this is
   /// `Set.isEmpty(Budget, Core)`, and the point behind a False verdict is
-  /// stored. Hits count in the `presburger.witness_hits` metric.
+  /// stored. Hits count in the `presburger.witness_hits` metric. On a
+  /// False verdict `Answer` (when non-null) receives the point that
+  /// answered, stored or solved, in `Set`'s column order.
   presburger::Ternary isEmpty(const presburger::BasicSet &Set,
                               const std::vector<std::string> &Names,
                               unsigned Budget,
-                              presburger::EmptinessCore *Core = nullptr);
+                              presburger::EmptinessCore *Core = nullptr,
+                              std::vector<int64_t> *Answer = nullptr);
 
   size_t size() const { return Points.size(); }
 

@@ -6,6 +6,7 @@
 
 #include "sds/ir/Flatten.h"
 
+#include "sds/ir/Simplify.h"
 #include "sds/obs/Metrics.h"
 
 #include <algorithm>
@@ -87,10 +88,187 @@ Flattened flatten(const SparseRelation &R) {
   return flatten(R.Conj, Order);
 }
 
+LoweredSpace::LoweredSpace(const SparseRelation &R, const Conjunction &Base) {
+  for (const std::vector<std::string> *Tuple :
+       {&R.InVars, &R.OutVars, &R.ExistVars})
+    for (const std::string &V : *Tuple)
+      columnOf(Atom::var(V));
+  NumTuple = static_cast<unsigned>(Names.size());
+  for (const std::string &V : Base.collectVars()) {
+    unsigned G = columnOf(Atom::var(V));
+    if (G >= NumTuple)
+      BaseVars.push_back(G);
+  }
+  for (const Atom &Call : Base.collectCalls())
+    BaseCalls.push_back(columnOf(Call));
+  for (const Constraint &C : Base.constraints())
+    Lits[addLiteral(C)].Live = false;
+  NumBase = static_cast<unsigned>(Lits.size());
+}
+
+unsigned LoweredSpace::columnOf(const Atom &A) {
+  auto [It, Inserted] =
+      Index.emplace(A.str(), static_cast<unsigned>(Names.size()));
+  if (!Inserted)
+    return It->second;
+  Names.push_back(It->first);
+  Atoms.push_back(A);
+  CallRank.push_back(0);
+  if (A.isCall()) {
+    // Calls sort as Conjunction::collectCalls sorts them.
+    std::vector<unsigned> Calls;
+    for (unsigned G = 0; G < Atoms.size(); ++G)
+      if (Atoms[G].isCall())
+        Calls.push_back(G);
+    std::sort(Calls.begin(), Calls.end(), [&](unsigned X, unsigned Y) {
+      return Atoms[X] < Atoms[Y];
+    });
+    for (unsigned I = 0; I < Calls.size(); ++I)
+      CallRank[Calls[I]] = I;
+  }
+  return It->second;
+}
+
+LoweredSpace::Row LoweredSpace::lower(const Constraint &C) {
+  Row L;
+  L.IsEq = C.isEq();
+  L.Const = C.E.constant();
+  for (const Expr::Term &T : C.E.terms())
+    L.Terms.emplace_back(columnOf(T.A), T.Coeff);
+  std::vector<std::string> Vars;
+  C.E.collectVars(Vars);
+  for (const std::string &V : Vars) {
+    unsigned G = columnOf(Atom::var(V));
+    if (G >= NumTuple &&
+        std::find(L.Vars.begin(), L.Vars.end(), G) == L.Vars.end())
+      L.Vars.push_back(G);
+  }
+  std::vector<Atom> Calls;
+  C.E.collectCalls(Calls);
+  for (const Atom &Call : Calls) {
+    unsigned G = columnOf(Call);
+    if (std::find(L.Calls.begin(), L.Calls.end(), G) == L.Calls.end())
+      L.Calls.push_back(G);
+  }
+  return L;
+}
+
+unsigned LoweredSpace::addLiteral(const Constraint &C) {
+  std::string Key = OriginMap::keyOf(C);
+  auto It = LitIds.find(Key);
+  if (It != LitIds.end())
+    return It->second;
+  unsigned Id = static_cast<unsigned>(Lits.size());
+  bool TriviallyTrue =
+      C.E.isConstant() &&
+      (C.isEq() ? C.E.constant() == 0 : C.E.constant() >= 0);
+  Row L = lower(C);
+  Lits.push_back({C, std::move(L), !TriviallyTrue});
+  LitIds.emplace(std::move(Key), Id);
+  return Id;
+}
+
+void LoweredSpace::assemble(const std::vector<unsigned> &Stack,
+                            Piece &Out) const {
+  Out.Kept.clear();
+  for (unsigned Id : Stack)
+    if (Lits[Id].Live &&
+        std::find(Out.Kept.begin(), Out.Kept.end(), Id) == Out.Kept.end())
+      Out.Kept.push_back(Id);
+
+  // Columns: tuple variables, the other variables in order of appearance
+  // (the base's, then each kept literal's), then calls in sorted order.
+  constexpr unsigned None = UINT32_MAX;
+  std::vector<unsigned> Local(Names.size(), None);
+  std::vector<unsigned> &Global = Out.Global;
+  Global.clear();
+  auto Use = [&](unsigned G) {
+    if (Local[G] == None) {
+      Local[G] = static_cast<unsigned>(Global.size());
+      Global.push_back(G);
+    }
+  };
+  for (unsigned G = 0; G < NumTuple; ++G)
+    Use(G);
+  for (unsigned G : BaseVars)
+    Use(G);
+  for (unsigned Id : Out.Kept)
+    for (unsigned G : Lits[Id].L.Vars)
+      Use(G);
+  size_t FirstCall = Global.size();
+  for (unsigned G : BaseCalls)
+    Use(G);
+  for (unsigned Id : Out.Kept)
+    for (unsigned G : Lits[Id].L.Calls)
+      Use(G);
+  std::sort(Global.begin() + static_cast<std::ptrdiff_t>(FirstCall),
+            Global.end(),
+            [&](unsigned X, unsigned Y) { return CallRank[X] < CallRank[Y]; });
+  for (size_t J = FirstCall; J < Global.size(); ++J)
+    Local[Global[J]] = static_cast<unsigned>(J);
+
+  Flattened &F = Out.F;
+  unsigned Width = static_cast<unsigned>(Global.size());
+  F.Names.clear();
+  for (unsigned G : Global)
+    F.Names.push_back(Names[G]);
+  F.Cols.clear();
+  F.ColIndex.clear();
+  F.EqRowConstraint.clear();
+  F.IneqRowConstraint.clear();
+  presburger::BasicSet Set(Width);
+  auto Emit = [&](const Row &L, unsigned CI) {
+    std::vector<int64_t> R(Width + 1, 0);
+    R[Width] = L.Const;
+    for (const auto &[G, Coeff] : L.Terms)
+      R[Local[G]] += Coeff;
+    if (L.IsEq) {
+      Set.addEquality(std::move(R));
+      F.EqRowConstraint.push_back(CI);
+    } else {
+      Set.addInequality(std::move(R));
+      F.IneqRowConstraint.push_back(CI);
+    }
+  };
+  unsigned CI = 0;
+  for (unsigned Id = 0; Id < NumBase; ++Id)
+    Emit(Lits[Id].L, CI++);
+  for (unsigned Id : Out.Kept)
+    Emit(Lits[Id].L, CI++);
+  F.Set = std::move(Set);
+}
+
+const Constraint &LoweredSpace::constraintOf(const Piece &P,
+                                             unsigned CI) const {
+  return Lits[CI < NumBase ? CI : P.Kept[CI - NumBase]].C;
+}
+
+bool LoweredSpace::satisfies(unsigned Id,
+                             const std::vector<int64_t> &Point) const {
+  const Row &L = Lits[Id].L;
+  __int128 V = L.Const;
+  for (const auto &[G, Coeff] : L.Terms) {
+    __int128 X = G < Point.size() ? Point[G] : 0;
+    if (__builtin_add_overflow(V, X * Coeff, &V))
+      return false;
+  }
+  return L.IsEq ? V == 0 : V >= 0;
+}
+
+std::vector<int64_t> LoweredSpace::lift(const Piece &P,
+                                        const std::vector<int64_t> &Point) const {
+  assert(Point.size() == P.Global.size() && "one value per piece column");
+  std::vector<int64_t> Out(Names.size(), 0);
+  for (size_t J = 0; J < Point.size(); ++J)
+    Out[P.Global[J]] = Point[J];
+  return Out;
+}
+
 presburger::Ternary WitnessPool::isEmpty(const presburger::BasicSet &Set,
                                          const std::vector<std::string> &Names,
                                          unsigned Budget,
-                                         presburger::EmptinessCore *Core) {
+                                         presburger::EmptinessCore *Core,
+                                         std::vector<int64_t> *Answer) {
   static obs::MetricCounter &Hits =
       obs::metricCounter("presburger.witness_hits");
   assert(Names.size() == Set.numVars() && "one name per column");
@@ -118,12 +296,16 @@ presburger::Ternary WitnessPool::isEmpty(const presburger::BasicSet &Set,
       Core->Valid = false;
     }
     Hits.add();
+    if (Answer)
+      *Answer = std::move(Candidate);
     return presburger::Ternary::False;
   }
   std::vector<int64_t> Witness;
   presburger::Ternary R = Set.isEmpty(Budget, Core, &Witness);
   if (R != presburger::Ternary::False)
     return R;
+  if (Answer)
+    *Answer = Witness;
   assert(Witness.size() == Names.size() && "False verdicts carry a point");
   for (size_t C = 0; C < Names.size(); ++C)
     if (ColId[C] == UINT32_MAX)

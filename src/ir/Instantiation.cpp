@@ -6,10 +6,12 @@
 
 #include "sds/ir/Flatten.h"
 #include "sds/ir/Simplify.h"
+#include "sds/obs/Metrics.h"
 
 #include <algorithm>
 #include <cassert>
 #include <cstdint>
+#include <memory>
 #include <set>
 
 namespace sds {
@@ -131,10 +133,10 @@ struct CoreCollector {
 };
 
 /// Record the citations of one proven-empty piece: map the integer-level
-/// core rows back through the flattener's row provenance onto the piece's
+/// core rows back through the piece's row provenance onto its
 /// constraints, then onto assertion labels.
-void notePieceEmpty(CoreCollector *CC, const Flattened &F,
-                    const Conjunction &Piece,
+void notePieceEmpty(CoreCollector *CC, const LoweredSpace &Space,
+                    const LoweredSpace::Piece &Piece,
                     const presburger::EmptinessCore &EC) {
   if (!CC)
     return;
@@ -142,12 +144,12 @@ void notePieceEmpty(CoreCollector *CC, const Flattened &F,
     CC->Fine = false;
     return;
   }
-  const std::vector<Constraint> &Cs = Piece.constraints();
+  const Flattened &F = Piece.F;
   size_t NEq = F.EqRowConstraint.size();
   for (uint32_t RI : EC.Rows) {
     unsigned CI = RI < NEq ? F.EqRowConstraint[RI]
                            : F.IneqRowConstraint[RI - NEq];
-    appendOrigin(*CC->Origins, Cs[CI], CC->Labels);
+    appendOrigin(*CC->Origins, Space.constraintOf(Piece, CI), CC->Labels);
   }
 }
 
@@ -514,81 +516,151 @@ instantiatePhase1(const Conjunction &C,
 
 namespace {
 
-/// Drop pieces that are already provably empty (cheap budget), keeping the
-/// DNF small during phase 2. Pruned pieces are part of the final proof, so
-/// their citations are recorded in `CC` like any other piece's.
-void prunePieces(std::vector<Conjunction> &Pieces, const SparseRelation &R,
-                 unsigned Budget, CoreCollector *CC, WitnessPool &Witnesses) {
-  std::vector<Conjunction> Kept;
-  for (Conjunction &Piece : Pieces) {
-    SparseRelation Tmp = R;
-    Tmp.Conj = Piece;
-    Flattened F = flatten(Tmp);
-    presburger::EmptinessCore EC;
-    if (Witnesses.isEmpty(F.Set, F.Names, Budget, CC ? &EC : nullptr) ==
-        presburger::Ternary::True) {
-      notePieceEmpty(CC, F, Piece, EC);
-      continue;
-    }
-    Kept.push_back(std::move(Piece));
-  }
-  Pieces = std::move(Kept);
+/// An integer point in global coordinates, shared by every piece it lies
+/// in.
+using PointRef = std::shared_ptr<const std::vector<int64_t>>;
+
+/// One DNF piece of phase 2: Aug plus a stack of branch literals (ids in
+/// the proof's LoweredSpace), with integer points known to lie in it.
+struct Piece {
+  std::vector<unsigned> Stack;
+  std::vector<PointRef> Points;
+};
+
+/// Points kept per piece.
+constexpr size_t MaxPiecePoints = 8;
+
+/// Phase-2 work counters (Metrics.h registry).
+struct Phase2Metrics {
+  obs::MetricCounter &Pieces = obs::metricCounter("ir.phase2_pieces");
+  obs::MetricCounter &Checks = obs::metricCounter("ir.phase2_checks");
+  obs::MetricCounter &Inherited = obs::metricCounter("ir.phase2_inherited");
+  obs::MetricCounter &Dropped =
+      obs::metricCounter("ir.phase2_splits_dropped");
+};
+
+Phase2Metrics &phase2Metrics() {
+  static Phase2Metrics M;
+  return M;
 }
 
-/// Conjoin a phase-2 instance (!A || C) onto a DNF piece list. Sets
-/// `Overflowed` (and leaves `Pieces` untouched) when the result would
-/// exceed the piece cap even after pruning empty pieces.
-void applyDisjunctiveInstance(std::vector<Conjunction> &Pieces,
-                              const AssertionInstance &Inst,
-                              const SparseRelation &R,
-                              const SimplifyOptions &Opts, bool &Overflowed,
-                              CoreCollector *CC, WitnessPool &Witnesses) {
-  std::vector<Conjunction> Next;
-  for (const Conjunction &Piece : Pieces) {
-    // Branch 1: the consequent holds.
-    {
-      Conjunction P = Piece;
-      P.append(Inst.Consequent);
-      Next.push_back(std::move(P));
+/// Emptiness of one piece. A True verdict records the piece's citations
+/// in `CC`; a False verdict hands back its point.
+presburger::Ternary checkPiece(const LoweredSpace &Space, const Piece &P,
+                               unsigned Budget, CoreCollector *CC,
+                               WitnessPool &Witnesses, PointRef *Point) {
+  LoweredSpace::Piece L;
+  Space.assemble(P.Stack, L);
+  presburger::EmptinessCore EC;
+  std::vector<int64_t> Local;
+  presburger::Ternary V = Witnesses.isEmpty(
+      L.F.Set, L.F.Names, Budget, CC ? &EC : nullptr, Point ? &Local : nullptr);
+  if (V == presburger::Ternary::True)
+    notePieceEmpty(CC, Space, L, EC);
+  else if (V == presburger::Ternary::False && Point)
+    *Point = std::make_shared<const std::vector<int64_t>>(
+        Space.lift(L, Local));
+  return V;
+}
+
+/// The branches of a phase-2 instance (!A || C) as literal-id lists: the
+/// consequent first, then one branch per way an antecedent constraint can
+/// fail (two for an equality).
+std::vector<std::vector<unsigned>> branchesOf(LoweredSpace &Space,
+                                              const AssertionInstance &Inst) {
+  std::vector<std::vector<unsigned>> Branches(1);
+  for (const Constraint &Q : Inst.Consequent.constraints())
+    Branches[0].push_back(Space.addLiteral(Q));
+  for (const Constraint &A : Inst.Antecedent.constraints()) {
+    if (A.isEq()) {
+      Branches.push_back({Space.addLiteral(Constraint::geq(A.E - Expr(1)))});
+      Branches.push_back({Space.addLiteral(Constraint::geq(-A.E - Expr(1)))});
+    } else {
+      Branches.push_back({Space.addLiteral(negateGeq(A))});
     }
-    // Branches 2..k: some antecedent constraint fails.
-    for (const Constraint &A : Inst.Antecedent.constraints()) {
-      if (A.isEq()) {
-        Conjunction P1 = Piece;
-        P1.add(Constraint::geq(A.E - Expr(1)));
-        Next.push_back(std::move(P1));
-        Conjunction P2 = Piece;
-        P2.add(Constraint::geq(-A.E - Expr(1)));
-        Next.push_back(std::move(P2));
-      } else {
-        Conjunction P = Piece;
-        P.add(negateGeq(A));
-        Next.push_back(std::move(P));
+  }
+  return Branches;
+}
+
+/// Conjoin a phase-2 instance onto the piece list, breadth-first: every
+/// piece times every branch, in that order. When the children outnumber
+/// `MaxPieces`, empty ones are pruned (cheap budget) and the split is
+/// dropped — returning false and leaving `Pieces` as they were — as soon
+/// as more than `MaxPieces` children are known non-empty. A child that
+/// holds one of its parent's points is non-empty without a check. The
+/// citations of pruned children reach `CC` only if the split is applied;
+/// points found for the children of a dropped split stay on their parents.
+bool applyDisjunctiveInstance(std::vector<Piece> &Pieces,
+                              const std::vector<std::vector<unsigned>> &Branches,
+                              const LoweredSpace &Space,
+                              const SimplifyOptions &Opts, CoreCollector *CC,
+                              WitnessPool &Witnesses) {
+  Phase2Metrics &M = phase2Metrics();
+  bool Prune = Pieces.size() * Branches.size() > Opts.MaxPieces;
+  CoreCollector Split;
+  Split.Origins = CC ? CC->Origins : nullptr;
+  std::vector<Piece> Next;
+  std::vector<std::pair<size_t, PointRef>> Found;
+  for (size_t PI = 0; PI < Pieces.size(); ++PI) {
+    const Piece &Parent = Pieces[PI];
+    for (const std::vector<unsigned> &Branch : Branches) {
+      M.Pieces.add();
+      Piece Child;
+      Child.Stack = Parent.Stack;
+      Child.Stack.insert(Child.Stack.end(), Branch.begin(), Branch.end());
+      for (const PointRef &Pt : Parent.Points)
+        if (std::all_of(Branch.begin(), Branch.end(), [&](unsigned Id) {
+              return Space.satisfies(Id, *Pt);
+            }))
+          Child.Points.push_back(Pt);
+      if (Prune && !Child.Points.empty()) {
+        M.Inherited.add();
+      } else if (Prune) {
+        M.Checks.add();
+        PointRef Pt;
+        presburger::Ternary V =
+            checkPiece(Space, Child, /*Budget=*/8, CC ? &Split : nullptr,
+                       Witnesses, &Pt);
+        if (V == presburger::Ternary::True)
+          continue;
+        if (V == presburger::Ternary::False) {
+          Child.Points.push_back(Pt);
+          Found.emplace_back(PI, std::move(Pt));
+        }
+      }
+      Next.push_back(std::move(Child));
+      if (Next.size() > Opts.MaxPieces) {
+        M.Dropped.add();
+        for (auto &[Owner, Pt] : Found)
+          if (Pieces[Owner].Points.size() < MaxPiecePoints)
+            Pieces[Owner].Points.push_back(std::move(Pt));
+        return false;
       }
     }
   }
-  if (Next.size() > Opts.MaxPieces)
-    prunePieces(Next, R, /*Budget=*/8, CC, Witnesses);
-  if (Next.size() > Opts.MaxPieces) {
-    Overflowed = true;
-    return; // caller keeps the previous piece list
+  if (CC) {
+    CC->Labels.insert(CC->Labels.end(), Split.Labels.begin(),
+                      Split.Labels.end());
+    CC->Fine = CC->Fine && Split.Fine;
   }
   Pieces = std::move(Next);
+  return true;
 }
 
-bool allPiecesProvenEmpty(const std::vector<Conjunction> &Pieces,
-                          const SparseRelation &R,
+/// The final check: every piece must be proven empty. A piece that holds a
+/// point cannot be, so any such piece answers "not proven" at once.
+bool allPiecesProvenEmpty(const std::vector<Piece> &Pieces,
+                          const LoweredSpace &Space,
                           const SimplifyOptions &Opts, CoreCollector *CC,
                           WitnessPool &Witnesses) {
-  for (const Conjunction &Piece : Pieces) {
-    SparseRelation Tmp = R;
-    Tmp.Conj = Piece;
-    Flattened F = flatten(Tmp);
-    presburger::EmptinessCore EC;
-    if (Witnesses.isEmpty(F.Set, F.Names, Opts.EmptinessBudget,
-                          CC ? &EC : nullptr) != presburger::Ternary::True)
+  for (const Piece &P : Pieces)
+    if (!P.Points.empty())
       return false;
-    notePieceEmpty(CC, F, Piece, EC);
+  for (const Piece &P : Pieces) {
+    phase2Metrics().Checks.add();
+    if (checkPiece(Space, P, Opts.EmptinessBudget, CC, Witnesses, nullptr) !=
+        presburger::Ternary::True)
+      return false;
   }
   return true;
 }
@@ -641,39 +713,39 @@ static bool provenUnsatWithAssertions(
     return Proven;
   };
 
-  std::vector<Conjunction> Pieces{Aug};
-  if (allPiecesProvenEmpty(Pieces, R, Opts, CC, Witnesses))
-    return Finish(true);
+  // Aug and every branch literal share one column space; pieces are
+  // literal stacks over it.
+  LoweredSpace Space(R, Aug);
+  std::vector<Piece> Pieces(1);
+  {
+    PointRef Pt;
+    presburger::Ternary V = checkPiece(Space, Pieces[0], Opts.EmptinessBudget,
+                                       CC, Witnesses, &Pt);
+    if (V == presburger::Ternary::True)
+      return Finish(true);
+    if (V == presburger::Ternary::False)
+      Pieces[0].Points.push_back(std::move(Pt));
+  }
 
   // Phase 2: add disjunction-introducing instances under the caps.
   unsigned Used = 0;
   for (const AssertionInstance &Inst : Phase2) {
     if (Used >= Opts.MaxPhase2Instances)
       break;
+    std::vector<std::vector<unsigned>> Branches = branchesOf(Space, Inst);
     if (Origins) {
       // Branch literals are case assumptions: the split's own label pays
       // for their exhaustiveness, nothing else is needed.
       std::vector<std::string> L{Inst.Label + " [disjunctive]"};
-      auto RegisterBranch = [&](const Constraint &BC) {
-        std::string Key = OriginMap::keyOf(BC);
-        if (!Origins->BaseKeys.count(Key))
-          Origins->ConstraintOrigins.emplace(std::move(Key), L);
-      };
-      for (const Constraint &Q : Inst.Consequent.constraints())
-        RegisterBranch(Q);
-      for (const Constraint &A : Inst.Antecedent.constraints()) {
-        if (A.isEq()) {
-          RegisterBranch(Constraint::geq(A.E - Expr(1)));
-          RegisterBranch(Constraint::geq(-A.E - Expr(1)));
-        } else {
-          RegisterBranch(negateGeq(A));
+      for (const std::vector<unsigned> &Branch : Branches)
+        for (unsigned Id : Branch) {
+          std::string Key = OriginMap::keyOf(Space.literal(Id));
+          if (!Origins->BaseKeys.count(Key))
+            Origins->ConstraintOrigins.emplace(std::move(Key), L);
         }
-      }
     }
-    bool Overflowed = false;
-    applyDisjunctiveInstance(Pieces, Inst, R, Opts, Overflowed, CC,
-                             Witnesses);
-    if (Overflowed) {
+    if (!applyDisjunctiveInstance(Pieces, Branches, Space, Opts, CC,
+                                  Witnesses)) {
       ++S.Dropped;
       continue;
     }
@@ -690,7 +762,7 @@ static bool provenUnsatWithAssertions(
 
   if (Used == 0)
     return Finish(false); // nothing new to try
-  return Finish(allPiecesProvenEmpty(Pieces, R, Opts, CC, Witnesses));
+  return Finish(allPiecesProvenEmpty(Pieces, Space, Opts, CC, Witnesses));
 }
 
 namespace {

@@ -233,3 +233,130 @@ TEST(WitnessPool, AnswersMatchDirectSolvesOnRandomSystems) {
   // The sweep exercised the pool, not only the solver.
   EXPECT_GT(witnessHits(), H0);
 }
+
+TEST(WitnessPool, HandsBackTheAnsweringPoint) {
+  presburger::clearQueryCache();
+  WitnessPool Pool;
+  BasicSet A(2); // x == 2 && y == 3
+  A.addEquality({1, 0, -2});
+  A.addEquality({0, 1, -3});
+  std::vector<int64_t> Point;
+  EXPECT_EQ(Pool.isEmpty(A, {"x", "y"}, 64, nullptr, &Point), Ternary::False);
+  EXPECT_EQ(Point, (std::vector<int64_t>{2, 3}));
+  // A pool hit in another column order answers with the stored point,
+  // reordered to the query's columns.
+  BasicSet B(2);
+  B.addInequality({1, -1, 0}); // y >= x
+  Point.clear();
+  EXPECT_EQ(Pool.isEmpty(B, {"y", "x"}, 64, nullptr, &Point), Ternary::False);
+  EXPECT_EQ(Point, (std::vector<int64_t>{3, 2}));
+}
+
+//===----------------------------------------------------------------------===//
+// LoweredSpace: base plus literal stacks assemble exactly what flatten()
+// builds for the equivalent conjunction.
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// Flatten R with `Lits` added to its conjunction in order, the way phase 2
+/// built pieces before pieces were lowered.
+Flattened flattenWith(SparseRelation R, const std::vector<Constraint> &Lits) {
+  for (const Constraint &C : Lits)
+    R.Conj.add(C);
+  return flatten(R);
+}
+
+void expectSameFlattening(const Flattened &Want, const Flattened &Got) {
+  EXPECT_EQ(Want.Names, Got.Names);
+  EXPECT_EQ(Want.Set.numVars(), Got.Set.numVars());
+  EXPECT_EQ(Want.Set.equalities(), Got.Set.equalities());
+  EXPECT_EQ(Want.Set.inequalities(), Got.Set.inequalities());
+  EXPECT_EQ(Want.EqRowConstraint, Got.EqRowConstraint);
+  EXPECT_EQ(Want.IneqRowConstraint, Got.IneqRowConstraint);
+}
+
+} // namespace
+
+TEST(LoweredSpace, AssembleMatchesFlatten) {
+  SparseRelation R = parse("{ [i] -> [i'] : exists(k') : i < i' && "
+                           "i = col(k') && rowptr(i') <= k' < rowptr(i'+1) }");
+  LoweredSpace Space(R, R.Conj);
+  // Literals bringing a new parameter (n), calls that sort before, between
+  // and after the base's calls (a(.), col(n), zz(.)), a nested call, an
+  // exact duplicate of a base row, a trivially-true row, an equality.
+  std::vector<Constraint> Lits{
+      Constraint::lt(Expr::var("i'"), Expr::var("n")),
+      Constraint::le(Expr::call("zz", {Expr::var("m")}), Expr::var("i")),
+      Constraint::equals(Expr::call("col", {Expr::var("n")}),
+                         Expr::call("a", {Expr::call("rowptr",
+                                                     {Expr::var("i")})})),
+      Constraint::lt(Expr::var("i"), Expr::var("i'")), // already in base
+      Constraint::geq(Expr(0)),                        // trivially true
+      Constraint::le(Expr::var("n"), Expr::var("k'")),
+  };
+  std::vector<unsigned> Ids;
+  for (const Constraint &C : Lits)
+    Ids.push_back(Space.addLiteral(C));
+  EXPECT_EQ(Space.addLiteral(Lits[1]), Ids[1]) << "equal literals share ids";
+
+  LoweredSpace::Piece P;
+  Space.assemble({}, P);
+  expectSameFlattening(flatten(R), P.F);
+  // Every subset in reverse order, with a repeated literal on top.
+  for (unsigned Mask = 1; Mask < (1u << Ids.size()); ++Mask) {
+    std::vector<unsigned> Stack;
+    std::vector<Constraint> Cs;
+    for (unsigned B = 0; B < Ids.size(); ++B)
+      if (Mask & (1u << B)) {
+        Stack.push_back(Ids[B]);
+        Cs.push_back(Lits[B]);
+      }
+    std::reverse(Stack.begin(), Stack.end());
+    std::reverse(Cs.begin(), Cs.end());
+    Stack.push_back(Stack.front());
+    Cs.push_back(Cs.front());
+    Space.assemble(Stack, P);
+    SCOPED_TRACE("mask " + std::to_string(Mask));
+    expectSameFlattening(flattenWith(R, Cs), P.F);
+    // Row provenance resolves to the constraints flatten() lowered.
+    Conjunction Piece = R.Conj;
+    for (const Constraint &C : Cs)
+      Piece.add(C);
+    for (unsigned CI = 0; CI < Piece.constraints().size(); ++CI)
+      EXPECT_EQ(Space.constraintOf(P, CI), Piece.constraints()[CI]);
+  }
+}
+
+TEST(LoweredSpace, PointsLiftAndTestLiteralsExactly) {
+  SparseRelation R = parse("{ [i] -> [j] : 0 <= i < j && f(i) <= f(j) }");
+  LoweredSpace Space(R, R.Conj);
+  unsigned Gap = Space.addLiteral(
+      Constraint::geq(Expr::var("j") - Expr::var("i") - Expr(2)));
+  unsigned Fresh = Space.addLiteral(
+      Constraint::equals(Expr::call("g", {Expr::var("j")}), Expr(5)));
+  LoweredSpace::Piece P;
+  Space.assemble({}, P);
+  // A point of the base (i, j, f(i), f(j)) in global coordinates.
+  std::vector<int64_t> Global = Space.lift(P, {0, 3, 1, 1});
+  EXPECT_TRUE(Space.satisfies(Gap, Global));
+  // g(j) has no value in a base point: it reads 0, violating g(j) == 5.
+  EXPECT_FALSE(Space.satisfies(Fresh, Global));
+  Space.assemble({Fresh}, P);
+  ASSERT_EQ(P.F.Names.size(), 5u);
+  std::vector<int64_t> Local(5, 0);
+  for (size_t J = 0; J < P.F.Names.size(); ++J)
+    Local[J] = P.F.Names[J] == "g(j)" ? 5 : P.F.Names[J] == "j" ? 1 : 0;
+  std::vector<int64_t> Lifted = Space.lift(P, Local);
+  EXPECT_TRUE(Space.satisfies(Fresh, Lifted));
+  EXPECT_FALSE(Space.satisfies(Gap, Lifted)); // j - i - 2 = -1
+  // A row whose value leaves 128 bits counts as violated, even though
+  // this one is mathematically >= 0.
+  unsigned Wide = Space.addLiteral(Constraint::geq(
+      Expr(INT64_MAX, Atom::var("i")) + Expr(INT64_MAX, Atom::var("j")) +
+      Expr(INT64_MAX, Atom::call("f", {Expr::var("i")}))));
+  std::vector<int64_t> Huge(Lifted.size(), INT64_MAX);
+  EXPECT_FALSE(Space.satisfies(Wide, Huge));
+  Huge.assign(Lifted.size(), 1);
+  EXPECT_TRUE(Space.satisfies(Wide, Huge));
+}

@@ -148,6 +148,29 @@ TEST(ProvenUnsat, Phase2CaseSplit) {
   EXPECT_GT(Stats.Phase2Used, 0u);
 }
 
+TEST(ProvenUnsat, DroppedSplitCitesNothing) {
+  // Two functional-consistency splits, f2's first. With a cap of 2 pieces,
+  // f2's split prunes its two p != q branches as empty (each citing that
+  // branch's literal) and is then dropped: three branches stay non-empty.
+  // g's split alone proves the relation (g(i) = 1, g(j) = 2, i = j), so
+  // the core cites g's split and nothing of the dropped f2 split.
+  SparseRelation R = parse(
+      "{ [i, j] : exists(p, q, k, m) : i <= j && j <= i && g(i) = 1 && "
+      "g(j) = 2 && p <= q && q <= p && f2(p, k) + f2(q, m) = 4 }");
+  SimplifyOptions Opts;
+  Opts.MaxPieces = 2;
+  Opts.SemanticPhase1 = false; // keep i = j out of phase 1
+  Opts.CoreMinimizeBudget = 0;
+  InstantiationStats Stats;
+  UnsatCore Core;
+  ASSERT_TRUE(provenUnsatAffineOnly(R, Opts, &Stats, &Core));
+  EXPECT_EQ(Stats.Dropped, 1u);
+  EXPECT_EQ(Stats.Phase2Used, 1u);
+  EXPECT_TRUE(Core.FromFarkas);
+  EXPECT_EQ(Core.Assertions, (std::vector<std::string>{
+                                 "functional_consistency(g) [disjunctive]"}));
+}
+
 TEST(ProvenUnsat, SatisfiableRelationStaysSatisfiable) {
   // The true forward-solve dependence (§2.1) must NOT be disproved even
   // with every property switched on: it is a real runtime dependence.
