@@ -15,9 +15,11 @@
 // serial pass also reports the solver's work counters (simplex solves and
 // pivots, branch-and-bound nodes), which are trace-gated, the solves
 // that left the simplex's int64 cells (`presburger.simplex_promotions`, a
-// metrics counter) and phase 2's case-split work (`ir.phase2_pieces`
-// children built, `ir.phase2_checks` emptiness checks issued; metrics
-// counters), so tracing and metrics are on for that pass.
+// metrics counter), phase 1's instantiation work
+// (`ir.phase1_substitutions`, instances actually substituted; a metrics
+// counter) and phase 2's case-split work (`ir.phase2_pieces` children
+// built, `ir.phase2_checks` emptiness checks issued; metrics counters), so
+// tracing and metrics are on for that pass.
 //
 //===----------------------------------------------------------------------===//
 
@@ -95,6 +97,8 @@ int main(int argc, char **argv) {
       Report.set(
           "t1_simplex_promotions",
           obs::metricCounter("presburger.simplex_promotions").value());
+      Report.set("t1_phase1_substitutions",
+                 obs::metricCounter("ir.phase1_substitutions").value());
       Report.set("t1_phase2_pieces",
                  obs::metricCounter("ir.phase2_pieces").value());
       Report.set("t1_phase2_checks",

@@ -583,6 +583,8 @@ int main(int argc, char **argv) {
       return static_cast<unsigned long long>(
           obs::metricCounter(Name).value());
     };
+    std::printf("phase 1: %llu tuples enumerated, %llu substituted\n",
+                Count("ir.phase1_tuples"), Count("ir.phase1_substitutions"));
     std::printf("phase 2: %llu pieces built, %llu emptiness checks, %llu "
                 "skipped by a carried point, %llu splits dropped\n",
                 Count("ir.phase2_pieces"), Count("ir.phase2_checks"),

@@ -21,8 +21,8 @@
 #include "sds/ir/Relation.h"
 #include "sds/presburger/BasicSet.h"
 
-#include <map>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 namespace sds {
@@ -32,9 +32,8 @@ namespace ir {
 /// correspondence retained.
 struct Flattened {
   presburger::BasicSet Set;
-  std::vector<Atom> Cols;         ///< Atom represented by each column.
-  std::vector<std::string> Names; ///< Printable name per column.
-  std::map<std::string, unsigned> ColIndex; ///< atom.str() -> column.
+  std::vector<Atom> Cols;                    ///< Atom of each column.
+  std::unordered_map<Atom, unsigned> ColIndex; ///< atom -> column.
   /// Row provenance: for each equality (resp. inequality) row of `Set`, the
   /// index into the source Conjunction's constraints() it was lowered from.
   /// Together with presburger::EmptinessCore this maps an integer-level
@@ -47,9 +46,12 @@ struct Flattened {
   /// Look up the column of a variable or call atom; returns numVars() when
   /// the atom has no column.
   unsigned columnOf(const Atom &A) const {
-    auto It = ColIndex.find(A.str());
+    auto It = ColIndex.find(A);
     return It == ColIndex.end() ? Set.numVars() : It->second;
   }
+
+  /// Printable name per column (Atom::str), for output.
+  std::vector<std::string> names() const;
 
   /// Translate a constraint row (numVars + 1 wide) back into an Expr.
   Expr rowToExpr(const std::vector<int64_t> &Row) const;
@@ -86,9 +88,9 @@ public:
   unsigned addLiteral(const Constraint &C);
   const Constraint &literal(unsigned Id) const { return Lits[Id].C; }
 
-  /// One assembled piece. `F` carries Set, Names and the row provenance
+  /// One assembled piece. `F` carries Set, Cols and the row provenance
   /// (indices into the piece's constraint list: the base's constraints,
-  /// then the literals of `Kept`); F.Cols and F.ColIndex stay empty.
+  /// then the literals of `Kept`); F.ColIndex stays empty.
   struct Piece {
     Flattened F;
     std::vector<unsigned> Kept;   ///< literal ids that survived dedup
@@ -127,21 +129,20 @@ private:
   unsigned columnOf(const Atom &A);
   Row lower(const Constraint &C);
 
-  unsigned NumTuple = 0;          ///< leading columns: In, Out, Exist vars
-  std::vector<std::string> Names; ///< per global column
-  std::vector<Atom> Atoms;        ///< per global column
-  std::map<std::string, unsigned> Index;
+  unsigned NumTuple = 0;   ///< leading columns: In, Out, Exist vars
+  std::vector<Atom> Atoms; ///< per global column
+  std::unordered_map<Atom, unsigned> Index;
   std::vector<unsigned> CallRank; ///< per global column: rank among calls
   std::vector<unsigned> BaseVars, BaseCalls;
   /// The base's constraints first (ids 0 .. NumBase-1, never Live), then
   /// the literals added since.
   std::vector<Literal> Lits;
   unsigned NumBase = 0;
-  std::map<std::string, unsigned> LitIds; ///< OriginMap::keyOf -> id
+  std::unordered_map<Constraint, unsigned> LitIds;
 };
 
 /// Integer points that earlier emptiness solves found, keyed by column
-/// name (Flattened::Names), so a point found for one flattened set can
+/// atom (Flattened::Cols), so a point found for one flattened set can
 /// answer a later set over the same atoms. Nearly every emptiness query of
 /// an analysis finds points; a stored point that lies in the queried set
 /// answers "non-empty" without a solve.
@@ -153,7 +154,7 @@ private:
 /// serves one dependence's analysis on one thread: no locking.
 class WitnessPool {
 public:
-  /// Integer emptiness of `Set`, whose columns are named `Names`. A stored
+  /// Integer emptiness of `Set`, whose columns stand for `Cols`. A stored
   /// point with a value for every column that satisfies every row
   /// (checked exactly) answers False; otherwise this is
   /// `Set.isEmpty(Budget, Core)`, and the point behind a False verdict is
@@ -161,7 +162,7 @@ public:
   /// False verdict `Answer` (when non-null) receives the point that
   /// answered, stored or solved, in `Set`'s column order.
   presburger::Ternary isEmpty(const presburger::BasicSet &Set,
-                              const std::vector<std::string> &Names,
+                              const std::vector<Atom> &Cols,
                               unsigned Budget,
                               presburger::EmptinessCore *Core = nullptr,
                               std::vector<int64_t> *Answer = nullptr);
@@ -170,13 +171,13 @@ public:
 
 private:
   static constexpr size_t kMaxPoints = 64;
-  /// Values indexed by name id; `Known[Id]` is false where the solve that
-  /// found the point had no column of that name.
+  /// Values indexed by atom id; `Known[Id]` is false where the solve that
+  /// found the point had no column for that atom.
   struct Point {
     std::vector<int64_t> Values;
     std::vector<bool> Known;
   };
-  std::map<std::string, unsigned> Ids;
+  std::unordered_map<Atom, unsigned> Ids;
   std::vector<Point> Points; ///< most recently useful first
 };
 

@@ -21,7 +21,6 @@
 #include "sds/ir/Expr.h"
 
 #include <map>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -53,8 +52,11 @@ struct Constraint {
       return K == Kind::Eq ? -1 : 1;
     return E.compare(O.E);
   }
-  bool operator==(const Constraint &O) const { return compare(O) == 0; }
+  bool operator==(const Constraint &O) const { return K == O.K && E == O.E; }
   bool operator<(const Constraint &O) const { return compare(O) < 0; }
+
+  /// Structural hash: equal constraints hash equal.
+  uint64_t hash() const { return hashCombine(E.hash(), isEq() ? 1 : 2); }
 
   Constraint substitute(const std::map<std::string, Expr> &Map) const {
     return {K, E.substitute(Map)};
@@ -97,19 +99,34 @@ public:
   std::string str() const;
 
 private:
-  /// Index entry for one canonical linear part: the tightest Geq constant
-  /// and every equality constant seen. Enables O(log) syntactic
-  /// implication checks in the instantiation hot loop (§6.2 phase 1 can
-  /// consult this tens of thousands of times per relation).
-  struct LinInfo {
-    bool HasGeq = false;
-    int64_t MinGeqConst = 0;
-    std::set<int64_t> EqConsts;
+  /// Index entry for one canonical linear part: that of `Cs[Source].E`, or
+  /// of its negation when `Negated`. A Geq entry holds the tightest
+  /// constant seen, an Eq entry one equality constant (an equality also
+  /// indexes its negated linear part). Entries sit sorted by the linear
+  /// part's hash, so the syntactic implication checks of the
+  /// instantiation hot loop (§6.2 phase 1 can consult this tens of
+  /// thousands of times per relation) are a binary search plus a
+  /// structural compare, with no string built.
+  struct LinEntry {
+    uint64_t Hash;
+    unsigned Source;
+    bool Negated;
+    bool IsEq;
+    int64_t Const;
   };
 
+  /// Range of entries whose linear part hashes to `H`.
+  std::pair<std::vector<LinEntry>::const_iterator,
+            std::vector<LinEntry>::const_iterator>
+  entriesFor(uint64_t H) const;
+  /// Does entry `L`'s linear part equal `E`'s times `Sign`?
+  bool sameLinear(const LinEntry &L, const Expr &E, int64_t Sign) const;
+  void index(LinEntry L, const Expr &E, int64_t Sign);
+
   std::vector<Constraint> Cs; // deduplicated, insertion order
-  std::set<std::string> ExactKeys;
-  std::map<std::string, LinInfo> Index;
+  /// (hash, position in Cs) of every constraint, sorted: exact dedup.
+  std::vector<std::pair<uint64_t, unsigned>> Exact;
+  std::vector<LinEntry> Index;
 };
 
 /// A dependence relation `{ [in] -> [out] : exists E : conjunction }`.
@@ -137,5 +154,9 @@ struct SparseRelation {
 
 } // namespace ir
 } // namespace sds
+
+template <> struct std::hash<sds::ir::Constraint> {
+  size_t operator()(const sds::ir::Constraint &C) const { return C.hash(); }
+};
 
 #endif // SDS_IR_RELATION_H

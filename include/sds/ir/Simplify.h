@@ -28,9 +28,9 @@
 #include "sds/ir/Relation.h"
 #include "sds/presburger/BasicSet.h"
 
-#include <map>
-#include <set>
 #include <string>
+#include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 namespace sds {
@@ -79,20 +79,15 @@ struct UnsatCore {
 };
 
 /// Optional constraint-provenance ledger for instantiatePhase1. Maps each
-/// constraint the instantiation added (keyed by its canonical form) to the
+/// constraint the instantiation added (keyed structurally) to the
 /// assertion labels that justify it, so an integer-level emptiness core
 /// can be translated into an UnsatCore. Constraints of the original
 /// relation carry no labels (`BaseKeys`); a constraint whose support could
 /// not be attributed is tagged with `Unattributed`, which forces the
 /// caller back to the coarse UsedLabels core.
 struct OriginMap {
-  std::map<std::string, std::vector<std::string>> ConstraintOrigins;
-  std::set<std::string> BaseKeys;
-
-  /// Canonical key of a constraint (mirrors Conjunction's dedup key).
-  static std::string keyOf(const Constraint &C) {
-    return (C.isEq() ? "=" : ">") + C.E.str();
-  }
+  std::unordered_map<Constraint, std::vector<std::string>> ConstraintOrigins;
+  std::unordered_set<Constraint> BaseKeys;
 
   /// Sentinel label marking a constraint whose justification could not be
   /// traced (e.g. a semantic probe whose emptiness core was unavailable).
@@ -109,7 +104,9 @@ struct AssertionInstance {
 /// Bookkeeping for the evaluation section (Figure 7 statistics).
 struct InstantiationStats {
   unsigned Generated = 0;     ///< Instances enumerated from E^n.
-  unsigned Vacuous = 0;       ///< Antecedent constant-false: discarded.
+  unsigned Vacuous = 0;       ///< Antecedent constant-false: discarded
+                              ///< (each tuple counted in the first round
+                              ///< that substitutes it).
   unsigned AlreadyImplied = 0;///< Consequent already present: discarded.
   unsigned Phase1Added = 0;   ///< Added conjunctively (antecedent present).
   unsigned Phase2Used = 0;    ///< Added as disjunctions.

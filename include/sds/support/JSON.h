@@ -15,20 +15,22 @@
 #ifndef SDS_SUPPORT_JSON_H
 #define SDS_SUPPORT_JSON_H
 
+#include <algorithm>
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <string>
 #include <string_view>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 namespace sds {
 namespace json {
 
 class Value;
+class Object;
 
 using Array = std::vector<Value>;
-using Object = std::map<std::string, Value>;
 
 /// A parsed JSON value. Small tagged union; objects keep keys sorted.
 class Value {
@@ -71,6 +73,8 @@ public:
   std::string str() const;
 
 private:
+  void appendTo(std::string &Out) const;
+
   Kind K;
   bool BoolVal = false;
   int64_t IntVal = 0;
@@ -78,6 +82,59 @@ private:
   std::string StrVal;
   std::shared_ptr<Array> ArrVal;  // shared to keep Value copyable & compact
   std::shared_ptr<Object> ObjVal;
+};
+
+/// A JSON object: members kept sorted by key (the order str() writes them
+/// in) in one flat vector, so building or parsing an object allocates per
+/// object rather than per member. A repeated key keeps its first value.
+class Object {
+public:
+  using value_type = std::pair<std::string, Value>;
+  using iterator = std::vector<value_type>::iterator;
+  using const_iterator = std::vector<value_type>::const_iterator;
+
+  /// Insert `Key` with the value built from `Args` unless present; the
+  /// iterator points at the member either way.
+  template <typename... ArgTs>
+  std::pair<iterator, bool> emplace(std::string Key, ArgTs &&...Args) {
+    iterator It = lowerBound(Key);
+    if (It != Members.end() && It->first == Key)
+      return {It, false};
+    It = Members.emplace(It, std::piecewise_construct,
+                         std::forward_as_tuple(std::move(Key)),
+                         std::forward_as_tuple(std::forward<ArgTs>(Args)...));
+    return {It, true};
+  }
+
+  iterator find(std::string_view Key) {
+    iterator It = lowerBound(Key);
+    return It != Members.end() && It->first == Key ? It : Members.end();
+  }
+  const_iterator find(std::string_view Key) const {
+    return const_cast<Object *>(this)->find(Key);
+  }
+  size_t count(std::string_view Key) const { return find(Key) != end(); }
+  /// The member `Key`, which must be present.
+  const Value &at(std::string_view Key) const;
+
+  iterator begin() { return Members.begin(); }
+  iterator end() { return Members.end(); }
+  const_iterator begin() const { return Members.begin(); }
+  const_iterator end() const { return Members.end(); }
+  size_t size() const { return Members.size(); }
+  bool empty() const { return Members.empty(); }
+
+private:
+  iterator lowerBound(std::string_view Key) {
+    // Members usually arrive in key order: check the end first.
+    if (Members.empty() || Members.back().first < Key)
+      return Members.end();
+    return std::lower_bound(
+        Members.begin(), Members.end(), Key,
+        [](const value_type &M, std::string_view K) { return M.first < K; });
+  }
+
+  std::vector<value_type> Members;
 };
 
 /// Result of a parse: either a value or a message with 1-based line/col.

@@ -21,10 +21,10 @@
 #include "sds/obs/Metrics.h"
 #include "sds/support/JSON.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <optional>
-#include <sstream>
 #include <utility>
 
 namespace sds {
@@ -70,12 +70,12 @@ Value exprJSON(const ir::Expr &E) {
       Pair.push_back(Value(T.Coeff));
       Object A;
       if (T.A.isVar()) {
-        A.emplace("v", Value(T.A.Name));
+        A.emplace("v", Value(T.A.name()));
       } else {
-        A.emplace("f", Value(T.A.Name));
-        if (!T.A.Args.empty()) {
+        A.emplace("f", Value(T.A.name()));
+        if (!T.A.args().empty()) {
           Array Args;
-          for (const ir::Expr &Arg : T.A.Args)
+          for (const ir::Expr &Arg : T.A.args())
             Args.push_back(exprJSON(Arg));
           A.emplace("a", Value(std::move(Args)));
         }
@@ -991,28 +991,56 @@ CompiledKernel compile(const kernels::Kernel &K,
 std::string abiFingerprint() {
   // Everything the payload encodes by *name or position*: a build whose
   // enums/tables differ decodes these blobs differently, so its
-  // fingerprint must differ too.
-  std::string Blob = "dep:";
-  for (deps::DepStatus S :
-       {deps::DepStatus::AffineUnsat, deps::DepStatus::PropertyUnsat,
-        deps::DepStatus::Subsumed, deps::DepStatus::Runtime})
-    Blob += deps::depStatusName(S) + ",";
-  Blob += ";prop:";
-  for (int K = 0; K <= static_cast<int>(ir::PropertyKind::SegmentStartIdentity);
-       ++K)
-    Blob += ir::propertyKindName(static_cast<ir::PropertyKind>(K)) + ",";
-  Blob += ";stages:";
-  for (size_t I = 0; I < schema::kNumStageKeys; ++I)
-    Blob += std::string(schema::kStageKeys[I]) + ",";
-  Blob += ";plan:loop,solved;constraint:eq,ge";
-  Blob += ";sched:";
-  for (rt::ScheduleKind K :
-       {rt::ScheduleKind::Levels, rt::ScheduleKind::LBC,
-        rt::ScheduleKind::Coalesced, rt::ScheduleKind::P2P,
-        rt::ScheduleKind::Vector})
-    Blob += std::string(rt::scheduleKindName(K)) + ",";
-  return "v" + std::to_string(schema::kVersion) + "-" + fnv1aHex(Blob);
+  // fingerprint must differ too. It is fixed per build: computed once.
+  static const std::string Fingerprint = [] {
+    std::string Blob = "dep:";
+    for (deps::DepStatus S :
+         {deps::DepStatus::AffineUnsat, deps::DepStatus::PropertyUnsat,
+          deps::DepStatus::Subsumed, deps::DepStatus::Runtime})
+      Blob += deps::depStatusName(S) + ",";
+    Blob += ";prop:";
+    for (int K = 0;
+         K <= static_cast<int>(ir::PropertyKind::SegmentStartIdentity); ++K)
+      Blob += ir::propertyKindName(static_cast<ir::PropertyKind>(K)) + ",";
+    Blob += ";stages:";
+    for (size_t I = 0; I < schema::kNumStageKeys; ++I)
+      Blob += std::string(schema::kStageKeys[I]) + ",";
+    Blob += ";plan:loop,solved;constraint:eq,ge";
+    Blob += ";sched:";
+    for (rt::ScheduleKind K :
+         {rt::ScheduleKind::Levels, rt::ScheduleKind::LBC,
+          rt::ScheduleKind::Coalesced, rt::ScheduleKind::P2P,
+          rt::ScheduleKind::Vector})
+      Blob += std::string(rt::scheduleKindName(K)) + ",";
+    return "v" + std::to_string(schema::kVersion) + "-" + fnv1aHex(Blob);
+  }();
+  return Fingerprint;
 }
+
+namespace {
+
+/// The payload's text inside `Text` when `Text` is exactly the envelope
+/// serialize() writes around it (keys in order, no whitespace, one
+/// optional trailing newline); empty otherwise.
+std::string_view payloadSpan(std::string_view Text, const Object &Root,
+                             int64_t Version) {
+  if (Root.size() != 5)
+    return {};
+  auto Member = [&](const char *Key) { return Root.at(Key).str(); };
+  std::string Head = "{\"abi\":" + Member("abi") + ",\"checksum\":" +
+                     Member("checksum") + ",\"magic\":" + Member("magic") +
+                     ",\"payload\":";
+  std::string Tail = ",\"schema_version\":" + std::to_string(Version) + "}";
+  if (!Text.empty() && Text.back() == '\n')
+    Text.remove_suffix(1);
+  if (Text.size() < Head.size() + Tail.size() ||
+      Text.substr(0, Head.size()) != Head ||
+      Text.substr(Text.size() - Tail.size()) != Tail)
+    return {};
+  return Text.substr(Head.size(), Text.size() - Head.size() - Tail.size());
+}
+
+} // namespace
 
 std::string serialize(const CompiledKernel &CK) {
   Value Payload = payloadJSON(CK);
@@ -1067,8 +1095,11 @@ Status deserialize(std::string_view Text, CompiledKernel &Out) {
   // The canonical text of the re-serialized payload reproduces the bytes
   // the producer hashed (sorted keys, deterministic number rendering), so
   // any content-altering corruption — even one that still parses — fails
-  // here.
-  if (fnv1aHex(Payload->str()) != Checksum)
+  // here. A blob laid out as serialize() writes it holds that text
+  // verbatim, so its span is hashed first and the re-serialization is
+  // needed only when the span does not match.
+  if (fnv1aHex(payloadSpan(Text, Root, Version)) != Checksum &&
+      fnv1aHex(Payload->str()) != Checksum)
     return support::invalidArgument(
         "artifact: payload checksum mismatch (corrupt blob)");
 
@@ -1107,12 +1138,15 @@ Status load(const std::string &Path, CompiledKernel &Out) {
   if (!File)
     return Reject(
         support::ioError("cannot open").withContext("load '" + Path + "'"));
-  std::stringstream SS;
-  SS << File.rdbuf();
-  if (File.bad())
+  File.seekg(0, std::ios::end);
+  std::streamoff Size = std::max<std::streamoff>(File.tellg(), 0);
+  std::string Text(static_cast<size_t>(Size), '\0');
+  File.seekg(0, std::ios::beg);
+  File.read(Text.data(), static_cast<std::streamsize>(Text.size()));
+  if (!File)
     return Reject(
         support::ioError("read failed").withContext("load '" + Path + "'"));
-  Status S = deserialize(SS.str(), Out).withContext("load '" + Path + "'");
+  Status S = deserialize(Text, Out).withContext("load '" + Path + "'");
   if (!S.ok())
     return Reject(std::move(S));
   return S;

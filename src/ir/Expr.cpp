@@ -8,46 +8,67 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cstddef>
 
 namespace sds {
 namespace ir {
 
+namespace {
+
+/// FNV-1a over a name: stable across runs and platforms.
+uint64_t hashName(const std::string &S) {
+  uint64_t H = 0xCBF29CE484222325ULL;
+  for (unsigned char C : S)
+    H = (H ^ C) * 0x100000001B3ULL;
+  return H;
+}
+
+} // namespace
+
 Atom Atom::var(std::string Name) {
-  Atom A;
-  A.K = Kind::Var;
-  A.Name = std::move(Name);
+  Atom A(new Node);
+  A.N->K = Kind::Var;
+  A.N->Hash = hashCombine(hashName(Name), 1);
+  A.N->Name = std::move(Name);
   return A;
 }
 
 Atom Atom::call(std::string Fn, std::vector<Expr> Args) {
-  Atom A;
-  A.K = Kind::Call;
-  A.Name = std::move(Fn);
-  A.Args = std::move(Args);
+  Atom A(new Node);
+  A.N->K = Kind::Call;
+  uint64_t H = hashCombine(hashName(Fn), 2 + Args.size());
+  for (const Expr &Arg : Args)
+    H = hashCombine(H, Arg.hash());
+  A.N->Hash = H;
+  A.N->Name = std::move(Fn);
+  A.N->Args = std::move(Args);
   return A;
 }
 
-int Atom::compare(const Atom &O) const {
-  if (K != O.K)
-    return K == Kind::Var ? -1 : 1;
-  if (int C = Name.compare(O.Name))
+void Atom::release(Node *N) { delete N; }
+
+int Atom::compareSlow(const Atom &O) const {
+  if (N->K != O.N->K)
+    return N->K == Kind::Var ? -1 : 1;
+  if (int C = N->Name.compare(O.N->Name))
     return C < 0 ? -1 : 1;
-  if (Args.size() != O.Args.size())
-    return Args.size() < O.Args.size() ? -1 : 1;
+  const std::vector<Expr> &Args = N->Args, &OArgs = O.N->Args;
+  if (Args.size() != OArgs.size())
+    return Args.size() < OArgs.size() ? -1 : 1;
   for (size_t I = 0; I < Args.size(); ++I)
-    if (int C = Args[I].compare(O.Args[I]))
+    if (int C = Args[I].compare(OArgs[I]))
       return C;
   return 0;
 }
 
 std::string Atom::str() const {
   if (isVar())
-    return Name;
-  std::string Out = Name + "(";
-  for (size_t I = 0; I < Args.size(); ++I) {
+    return name();
+  std::string Out = name() + "(";
+  for (size_t I = 0; I < args().size(); ++I) {
     if (I)
       Out += ", ";
-    Out += Args[I].str();
+    Out += args()[I].str();
   }
   Out += ")";
   return Out;
@@ -61,25 +82,44 @@ Expr::Expr(int64_t Coeff, Atom A) : Const(0) {
 void Expr::normalize() {
   std::sort(Terms.begin(), Terms.end(),
             [](const Term &L, const Term &R) { return L.A < R.A; });
-  std::vector<Term> Merged;
-  for (Term &T : Terms) {
-    if (!Merged.empty() && Merged.back().A == T.A)
-      Merged.back().Coeff += T.Coeff;
+  size_t Out = 0;
+  for (size_t I = 0; I < Terms.size(); ++I) {
+    if (Out > 0 && Terms[Out - 1].A == Terms[I].A)
+      Terms[Out - 1].Coeff += Terms[I].Coeff;
+    else if (Out != I)
+      Terms[Out++] = std::move(Terms[I]);
     else
-      Merged.push_back(std::move(T));
+      ++Out;
   }
-  Merged.erase(std::remove_if(Merged.begin(), Merged.end(),
-                              [](const Term &T) { return T.Coeff == 0; }),
-               Merged.end());
-  Terms = std::move(Merged);
+  Terms.erase(Terms.begin() + static_cast<std::ptrdiff_t>(Out), Terms.end());
+  Terms.erase(std::remove_if(Terms.begin(), Terms.end(),
+                             [](const Term &T) { return T.Coeff == 0; }),
+              Terms.end());
 }
 
 Expr Expr::operator+(const Expr &O) const {
-  Expr R;
-  R.Terms = Terms;
-  R.Terms.insert(R.Terms.end(), O.Terms.begin(), O.Terms.end());
-  R.Const = Const + O.Const;
-  R.normalize();
+  // Both sides are canonical: merge their sorted term lists.
+  Expr R(Const + O.Const);
+  R.Terms.reserve(Terms.size() + O.Terms.size());
+  size_t I = 0, J = 0;
+  while (I < Terms.size() && J < O.Terms.size()) {
+    int C = Terms[I].A.compare(O.Terms[J].A);
+    if (C < 0) {
+      R.Terms.push_back(Terms[I++]);
+    } else if (C > 0) {
+      R.Terms.push_back(O.Terms[J++]);
+    } else {
+      if (int64_t Sum = Terms[I].Coeff + O.Terms[J].Coeff)
+        R.Terms.push_back({Sum, Terms[I].A});
+      ++I;
+      ++J;
+    }
+  }
+  R.Terms.insert(R.Terms.end(), Terms.begin() + static_cast<std::ptrdiff_t>(I),
+                 Terms.end());
+  R.Terms.insert(R.Terms.end(),
+                 O.Terms.begin() + static_cast<std::ptrdiff_t>(J),
+                 O.Terms.end());
   return R;
 }
 
@@ -112,25 +152,83 @@ int Expr::compare(const Expr &O) const {
   return 0;
 }
 
-Expr Expr::substitute(const std::map<std::string, Expr> &Map) const {
-  Expr R(Const);
-  for (const Term &T : Terms) {
+uint64_t Expr::linearHash(int64_t Sign) const {
+  uint64_t H = 0x2545F4914F6CDD1DULL;
+  for (const Term &T : Terms)
+    H = hashCombine(hashCombine(H, uint64_t(T.Coeff) * uint64_t(Sign)),
+                    T.A.hash());
+  return H;
+}
+
+bool Expr::sameLinearPart(const Expr &O, int64_t Sign) const {
+  if (Terms.size() != O.Terms.size())
+    return false;
+  for (size_t I = 0; I < Terms.size(); ++I)
+    if (Terms[I].Coeff != O.Terms[I].Coeff * Sign || Terms[I].A != O.Terms[I].A)
+      return false;
+  return true;
+}
+
+bool Expr::substituteInto(const std::map<std::string, Expr> &Map,
+                          Expr &Out) const {
+  // Terms are copied into Out only once the first one changes.
+  bool Changed = false;
+  auto Begin = [&](size_t I) {
+    if (Changed)
+      return;
+    Changed = true;
+    Out.Terms.assign(Terms.begin(),
+                     Terms.begin() + static_cast<std::ptrdiff_t>(I));
+    Out.Const = Const;
+  };
+  for (size_t I = 0; I < Terms.size(); ++I) {
+    const Term &T = Terms[I];
     if (T.A.isVar()) {
-      auto It = Map.find(T.A.Name);
-      if (It != Map.end()) {
-        R += It->second * T.Coeff;
+      auto It = Map.find(T.A.name());
+      if (It == Map.end()) {
+        if (Changed)
+          Out.Terms.push_back(T);
         continue;
       }
-      R += Expr(T.Coeff, T.A);
+      Begin(I);
+      for (const Term &R : It->second.Terms)
+        Out.Terms.push_back({R.Coeff * T.Coeff, R.A});
+      Out.Const += It->second.Const * T.Coeff;
       continue;
     }
+    const std::vector<Expr> &Args = T.A.args();
     std::vector<Expr> NewArgs;
-    NewArgs.reserve(T.A.Args.size());
-    for (const Expr &Arg : T.A.Args)
-      NewArgs.push_back(Arg.substitute(Map));
-    R += Expr(T.Coeff, Atom::call(T.A.Name, std::move(NewArgs)));
+    bool ArgsChanged = false;
+    for (size_t J = 0; J < Args.size(); ++J) {
+      Expr Arg;
+      if (Args[J].substituteInto(Map, Arg)) {
+        if (!ArgsChanged) {
+          NewArgs.reserve(Args.size());
+          NewArgs.assign(Args.begin(),
+                         Args.begin() + static_cast<std::ptrdiff_t>(J));
+          ArgsChanged = true;
+        }
+        NewArgs.push_back(std::move(Arg));
+      } else if (ArgsChanged) {
+        NewArgs.push_back(Args[J]);
+      }
+    }
+    if (!ArgsChanged) {
+      if (Changed)
+        Out.Terms.push_back(T);
+      continue;
+    }
+    Begin(I);
+    Out.Terms.push_back({T.Coeff, Atom::call(T.A.name(), std::move(NewArgs))});
   }
-  return R;
+  if (Changed)
+    Out.normalize();
+  return Changed;
+}
+
+Expr Expr::substitute(const std::map<std::string, Expr> &Map) const {
+  Expr Out;
+  return substituteInto(Map, Out) ? Out : *this;
 }
 
 void Expr::collectCalls(std::vector<Atom> &Out) const {
@@ -138,7 +236,7 @@ void Expr::collectCalls(std::vector<Atom> &Out) const {
     if (!T.A.isCall())
       continue;
     Out.push_back(T.A);
-    for (const Expr &Arg : T.A.Args)
+    for (const Expr &Arg : T.A.args())
       Arg.collectCalls(Out);
   }
 }
@@ -146,10 +244,10 @@ void Expr::collectCalls(std::vector<Atom> &Out) const {
 void Expr::collectVars(std::vector<std::string> &Out) const {
   for (const Term &T : Terms) {
     if (T.A.isVar()) {
-      Out.push_back(T.A.Name);
+      Out.push_back(T.A.name());
       continue;
     }
-    for (const Expr &Arg : T.A.Args)
+    for (const Expr &Arg : T.A.args())
       Arg.collectVars(Out);
   }
 }

@@ -6,7 +6,6 @@
 
 #include "sds/ir/Flatten.h"
 
-#include "sds/ir/Simplify.h"
 #include "sds/obs/Metrics.h"
 
 #include <algorithm>
@@ -26,19 +25,20 @@ Expr Flattened::rowToExpr(const std::vector<int64_t> &Row) const {
   return E;
 }
 
+std::vector<std::string> Flattened::names() const {
+  std::vector<std::string> Out;
+  for (const Atom &A : Cols)
+    Out.push_back(A.str());
+  return Out;
+}
+
 Flattened flatten(const Conjunction &C,
                   const std::vector<std::string> &VarOrder) {
   Flattened F;
 
-  auto AddColumn = [&](Atom A) {
-    std::string Key = A.str();
-    auto [It, Inserted] =
-        F.ColIndex.emplace(Key, static_cast<unsigned>(F.Cols.size()));
-    if (Inserted) {
-      F.Names.push_back(Key);
-      F.Cols.push_back(std::move(A));
-    }
-    return It->second;
+  auto AddColumn = [&](const Atom &A) {
+    if (F.ColIndex.emplace(A, static_cast<unsigned>(F.Cols.size())).second)
+      F.Cols.push_back(A);
   };
 
   // 1. Named variables in the requested order.
@@ -61,7 +61,7 @@ Flattened flatten(const Conjunction &C,
     std::vector<int64_t> Row(Width + 1, 0);
     Row[Width] = Cons.E.constant();
     for (const Expr::Term &T : Cons.E.terms()) {
-      auto It = F.ColIndex.find(T.A.str());
+      auto It = F.ColIndex.find(T.A);
       assert(It != F.ColIndex.end() && "atom without a column");
       Row[It->second] += T.Coeff;
     }
@@ -93,7 +93,7 @@ LoweredSpace::LoweredSpace(const SparseRelation &R, const Conjunction &Base) {
        {&R.InVars, &R.OutVars, &R.ExistVars})
     for (const std::string &V : *Tuple)
       columnOf(Atom::var(V));
-  NumTuple = static_cast<unsigned>(Names.size());
+  NumTuple = static_cast<unsigned>(Atoms.size());
   for (const std::string &V : Base.collectVars()) {
     unsigned G = columnOf(Atom::var(V));
     if (G >= NumTuple)
@@ -107,11 +107,9 @@ LoweredSpace::LoweredSpace(const SparseRelation &R, const Conjunction &Base) {
 }
 
 unsigned LoweredSpace::columnOf(const Atom &A) {
-  auto [It, Inserted] =
-      Index.emplace(A.str(), static_cast<unsigned>(Names.size()));
+  auto [It, Inserted] = Index.emplace(A, static_cast<unsigned>(Atoms.size()));
   if (!Inserted)
     return It->second;
-  Names.push_back(It->first);
   Atoms.push_back(A);
   CallRank.push_back(0);
   if (A.isCall()) {
@@ -154,8 +152,7 @@ LoweredSpace::Row LoweredSpace::lower(const Constraint &C) {
 }
 
 unsigned LoweredSpace::addLiteral(const Constraint &C) {
-  std::string Key = OriginMap::keyOf(C);
-  auto It = LitIds.find(Key);
+  auto It = LitIds.find(C);
   if (It != LitIds.end())
     return It->second;
   unsigned Id = static_cast<unsigned>(Lits.size());
@@ -164,7 +161,7 @@ unsigned LoweredSpace::addLiteral(const Constraint &C) {
       (C.isEq() ? C.E.constant() == 0 : C.E.constant() >= 0);
   Row L = lower(C);
   Lits.push_back({C, std::move(L), !TriviallyTrue});
-  LitIds.emplace(std::move(Key), Id);
+  LitIds.emplace(C, Id);
   return Id;
 }
 
@@ -179,7 +176,7 @@ void LoweredSpace::assemble(const std::vector<unsigned> &Stack,
   // Columns: tuple variables, the other variables in order of appearance
   // (the base's, then each kept literal's), then calls in sorted order.
   constexpr unsigned None = UINT32_MAX;
-  std::vector<unsigned> Local(Names.size(), None);
+  std::vector<unsigned> Local(Atoms.size(), None);
   std::vector<unsigned> &Global = Out.Global;
   Global.clear();
   auto Use = [&](unsigned G) {
@@ -209,10 +206,9 @@ void LoweredSpace::assemble(const std::vector<unsigned> &Stack,
 
   Flattened &F = Out.F;
   unsigned Width = static_cast<unsigned>(Global.size());
-  F.Names.clear();
-  for (unsigned G : Global)
-    F.Names.push_back(Names[G]);
   F.Cols.clear();
+  for (unsigned G : Global)
+    F.Cols.push_back(Atoms[G]);
   F.ColIndex.clear();
   F.EqRowConstraint.clear();
   F.IneqRowConstraint.clear();
@@ -258,26 +254,26 @@ bool LoweredSpace::satisfies(unsigned Id,
 std::vector<int64_t> LoweredSpace::lift(const Piece &P,
                                         const std::vector<int64_t> &Point) const {
   assert(Point.size() == P.Global.size() && "one value per piece column");
-  std::vector<int64_t> Out(Names.size(), 0);
+  std::vector<int64_t> Out(Atoms.size(), 0);
   for (size_t J = 0; J < Point.size(); ++J)
     Out[P.Global[J]] = Point[J];
   return Out;
 }
 
 presburger::Ternary WitnessPool::isEmpty(const presburger::BasicSet &Set,
-                                         const std::vector<std::string> &Names,
+                                         const std::vector<Atom> &Cols,
                                          unsigned Budget,
                                          presburger::EmptinessCore *Core,
                                          std::vector<int64_t> *Answer) {
   static obs::MetricCounter &Hits =
       obs::metricCounter("presburger.witness_hits");
-  assert(Names.size() == Set.numVars() && "one name per column");
-  std::vector<unsigned> ColId(Names.size());
-  for (size_t C = 0; C < Names.size(); ++C) {
-    auto It = Ids.find(Names[C]);
+  assert(Cols.size() == Set.numVars() && "one atom per column");
+  std::vector<unsigned> ColId(Cols.size());
+  for (size_t C = 0; C < Cols.size(); ++C) {
+    auto It = Ids.find(Cols[C]);
     ColId[C] = It == Ids.end() ? UINT32_MAX : It->second;
   }
-  std::vector<int64_t> Candidate(Names.size());
+  std::vector<int64_t> Candidate(Cols.size());
   for (size_t P = 0; P < Points.size(); ++P) {
     const Point &Pt = Points[P];
     bool Covered = true;
@@ -306,14 +302,14 @@ presburger::Ternary WitnessPool::isEmpty(const presburger::BasicSet &Set,
     return R;
   if (Answer)
     *Answer = Witness;
-  assert(Witness.size() == Names.size() && "False verdicts carry a point");
-  for (size_t C = 0; C < Names.size(); ++C)
+  assert(Witness.size() == Cols.size() && "False verdicts carry a point");
+  for (size_t C = 0; C < Cols.size(); ++C)
     if (ColId[C] == UINT32_MAX)
       ColId[C] =
-          Ids.emplace(Names[C], static_cast<unsigned>(Ids.size())).first->second;
+          Ids.emplace(Cols[C], static_cast<unsigned>(Ids.size())).first->second;
   Point Pt{std::vector<int64_t>(Ids.size(), 0),
            std::vector<bool>(Ids.size(), false)};
-  for (size_t C = 0; C < Names.size(); ++C) {
+  for (size_t C = 0; C < Cols.size(); ++C) {
     Pt.Values[ColId[C]] = Witness[C];
     Pt.Known[ColId[C]] = true;
   }

@@ -11,8 +11,12 @@
 #include <algorithm>
 #include <cassert>
 #include <cstdint>
+#include <deque>
+#include <map>
 #include <memory>
 #include <set>
+#include <unordered_map>
+#include <unordered_set>
 
 namespace sds {
 namespace ir {
@@ -20,7 +24,7 @@ namespace ir {
 std::vector<Expr> argumentExpressionSet(const Conjunction &C) {
   std::vector<Expr> E;
   for (const Atom &Call : C.collectCalls())
-    for (const Expr &Arg : Call.Args)
+    for (const Expr &Arg : Call.args())
       E.push_back(Arg);
   std::sort(E.begin(), E.end());
   E.erase(std::unique(E.begin(), E.end()), E.end());
@@ -28,6 +32,24 @@ std::vector<Expr> argumentExpressionSet(const Conjunction &C) {
 }
 
 namespace {
+
+/// Instantiation work counters (Metrics.h registry): phase 1's odometer
+/// tuples and substitutions, phase 2's case-split work.
+struct InstantiationMetrics {
+  obs::MetricCounter &Tuples = obs::metricCounter("ir.phase1_tuples");
+  obs::MetricCounter &Substitutions =
+      obs::metricCounter("ir.phase1_substitutions");
+  obs::MetricCounter &Pieces = obs::metricCounter("ir.phase2_pieces");
+  obs::MetricCounter &Checks = obs::metricCounter("ir.phase2_checks");
+  obs::MetricCounter &Inherited = obs::metricCounter("ir.phase2_inherited");
+  obs::MetricCounter &Dropped =
+      obs::metricCounter("ir.phase2_splits_dropped");
+};
+
+InstantiationMetrics &instantiationMetrics() {
+  static InstantiationMetrics M;
+  return M;
+}
 
 /// Is the constraint trivially false (constant expression violating it)?
 bool constantFalse(const Constraint &C) {
@@ -72,10 +94,9 @@ bool constraintImplies(const Constraint &A, const Constraint &B) {
 /// contributes the unattributed sentinel (forcing the coarse fallback).
 void appendOrigin(const OriginMap &O, const Constraint &C,
                   std::vector<std::string> &Out) {
-  std::string Key = OriginMap::keyOf(C);
-  if (O.BaseKeys.count(Key))
+  if (O.BaseKeys.count(C))
     return;
-  auto It = O.ConstraintOrigins.find(Key);
+  auto It = O.ConstraintOrigins.find(C);
   if (It == O.ConstraintOrigins.end()) {
     Out.push_back(OriginMap::unattributed());
     return;
@@ -92,10 +113,9 @@ void appendSyntacticSupport(const OriginMap &O, const Conjunction &Aug,
                             std::vector<std::string> &Out) {
   if (P.E.isConstant())
     return; // constant-true: no support needed
-  std::string Key = OriginMap::keyOf(P);
-  if (O.BaseKeys.count(Key))
+  if (O.BaseKeys.count(P))
     return;
-  auto It = O.ConstraintOrigins.find(Key);
+  auto It = O.ConstraintOrigins.find(P);
   if (It != O.ConstraintOrigins.end()) {
     Out.insert(Out.end(), It->second.begin(), It->second.end());
     return;
@@ -104,10 +124,9 @@ void appendSyntacticSupport(const OriginMap &O, const Conjunction &Aug,
   for (const Constraint &C2 : Aug.constraints()) {
     if (!constraintImplies(C2, P))
       continue;
-    std::string K2 = OriginMap::keyOf(C2);
-    if (O.BaseKeys.count(K2))
+    if (O.BaseKeys.count(C2))
       return; // implied outright by the base relation
-    auto It2 = O.ConstraintOrigins.find(K2);
+    auto It2 = O.ConstraintOrigins.find(C2);
     if (It2 != O.ConstraintOrigins.end() &&
         (!Best || It2->second.size() < Best->size()))
       Best = &It2->second;
@@ -153,48 +172,94 @@ void notePieceEmpty(CoreCollector *CC, const LoweredSpace &Space,
   }
 }
 
+/// Every distinct instance enumerated so far, at stable addresses, indexed
+/// by structure (antecedent and consequent; the label is not part of it):
+/// many tuples yield the same instance.
+class InstanceStore {
+public:
+  /// Store `Inst` and return it, or return null when a structurally equal
+  /// instance is already stored.
+  const AssertionInstance *insert(AssertionInstance &&Inst) {
+    uint64_t H = hashOf(Inst);
+    auto [Lo, Hi] = ByHash.equal_range(H);
+    for (auto It = Lo; It != Hi; ++It)
+      if (It->second->Antecedent.constraints() ==
+              Inst.Antecedent.constraints() &&
+          It->second->Consequent.constraints() ==
+              Inst.Consequent.constraints())
+        return nullptr;
+    All.push_back(std::move(Inst));
+    ByHash.emplace(H, &All.back());
+    return &All.back();
+  }
+
+private:
+  static uint64_t hashOf(const AssertionInstance &Inst) {
+    uint64_t H = Inst.Antecedent.constraints().size();
+    for (const Constraint &C : Inst.Antecedent.constraints())
+      H = hashCombine(H, C.hash());
+    H = hashCombine(H, Inst.Consequent.constraints().size());
+    for (const Constraint &C : Inst.Consequent.constraints())
+      H = hashCombine(H, C.hash());
+    return H;
+  }
+
+  std::deque<AssertionInstance> All;
+  std::unordered_multimap<uint64_t, const AssertionInstance *> ByHash;
+};
+
 /// Enumerate all assertion instances over E^n, pruning vacuous ones.
-/// `Seen` deduplicates across enumeration rounds.
-void enumerateInstances(
-                        const std::vector<UniversalAssertion> &Assertions,
+/// `Seen` deduplicates across enumeration rounds. `Old` (null in the first
+/// round) marks the expressions of E the previous round enumerated over: a
+/// tuple of old expressions only can reproduce nothing but that round's
+/// vacuous or already-seen instance, so it is counted but not substituted
+/// (semi-naive evaluation; the cap, and so the instance order, is the same
+/// as for a full re-enumeration).
+void enumerateInstances(const std::vector<UniversalAssertion> &Assertions,
                         const std::vector<Expr> &E,
-                        const SimplifyOptions &Opts,
-                        InstantiationStats &Stats,
-                        std::set<std::string> &Seen,
-                        std::vector<AssertionInstance> &Out) {
-  std::map<std::string, Expr> Map; // reused across instances
+                        const std::vector<bool> *Old,
+                        const SimplifyOptions &Opts, InstantiationStats &Stats,
+                        InstanceStore &Seen,
+                        std::vector<const AssertionInstance *> &Out) {
+  InstantiationMetrics &M = instantiationMetrics();
   for (const UniversalAssertion &A : Assertions) {
     size_t N = A.QVars.size();
-    // Odometer over E^N.
-    std::vector<size_t> Idx(N, 0);
     if (E.empty() && N > 0)
       continue;
+    // Odometer over E^N; the map's values are reassigned per tuple.
+    std::vector<size_t> Idx(N, 0);
+    std::map<std::string, Expr> Map;
+    std::vector<Expr *> Slot(N);
+    for (size_t I = 0; I < N; ++I)
+      Slot[I] = &Map[A.QVars[I]];
     while (true) {
       if (Stats.Generated >= Opts.MaxInstances)
         return;
       ++Stats.Generated;
-      Map.clear();
-      for (size_t I = 0; I < N; ++I)
-        Map.emplace(A.QVars[I], E[Idx[I]]);
-      AssertionInstance Inst;
-      Inst.Antecedent = A.Antecedent.substitute(Map);
-      Inst.Consequent = A.Consequent.substitute(Map);
-      Inst.Label = A.Label;
-
-      bool Vacuous = false;
-      for (const Constraint &C2 : Inst.Antecedent.constraints())
-        if (constantFalse(C2)) {
-          Vacuous = true;
-          break;
+      M.Tuples.add();
+      bool Fresh = !Old;
+      for (size_t I = 0; I < N && !Fresh; ++I)
+        Fresh = !(*Old)[Idx[I]];
+      if (Fresh) {
+        M.Substitutions.add();
+        for (size_t I = 0; I < N; ++I)
+          *Slot[I] = E[Idx[I]];
+        AssertionInstance Inst;
+        Inst.Antecedent = A.Antecedent.substitute(Map);
+        bool Vacuous = false;
+        for (const Constraint &C2 : Inst.Antecedent.constraints())
+          if (constantFalse(C2)) {
+            Vacuous = true;
+            break;
+          }
+        if (Vacuous) {
+          ++Stats.Vacuous;
+        } else {
+          Inst.Consequent = A.Consequent.substitute(Map);
+          Inst.Label = A.Label;
+          if (const AssertionInstance *Kept = Seen.insert(std::move(Inst)))
+            Out.push_back(Kept);
         }
-      if (Vacuous) {
-        ++Stats.Vacuous;
-      } else {
-        // Deduplicate structurally (many tuples yield the same instance).
-        std::string Key =
-            Inst.Antecedent.str() + "=>" + Inst.Consequent.str();
-        if (Seen.insert(std::move(Key)).second)
-          Out.push_back(std::move(Inst));
       }
 
       // Advance the odometer.
@@ -216,22 +281,24 @@ void enumerateInstances(
 /// Figure 7 — and they flow through the same two-phase machinery.
 void collectFunctionalConsistencyInstances(
     const Conjunction &C, const SimplifyOptions &Opts,
-    InstantiationStats &Stats, std::set<std::string> &Seen,
-    std::vector<AssertionInstance> &Out) {
+    InstantiationStats &Stats, InstanceStore &Seen,
+    std::vector<const AssertionInstance *> &Out) {
+  InstantiationMetrics &M = instantiationMetrics();
   std::vector<Atom> Calls = C.collectCalls();
   for (size_t I = 0; I < Calls.size(); ++I) {
     for (size_t J = I + 1; J < Calls.size(); ++J) {
       if (Stats.Generated >= Opts.MaxInstances)
         return;
       const Atom &A = Calls[I], &B = Calls[J];
-      if (A.Name != B.Name || A.Args.size() != B.Args.size())
+      if (A.name() != B.name() || A.args().size() != B.args().size())
         continue;
       ++Stats.Generated;
+      M.Tuples.add();
       AssertionInstance Inst;
-      Inst.Label = "functional_consistency(" + A.Name + ")";
+      Inst.Label = "functional_consistency(" + A.name() + ")";
       bool Vacuous = false;
-      for (size_t K = 0; K < A.Args.size(); ++K) {
-        Constraint Eq = Constraint::equals(A.Args[K], B.Args[K]);
+      for (size_t K = 0; K < A.args().size(); ++K) {
+        Constraint Eq = Constraint::equals(A.args()[K], B.args()[K]);
         if (constantFalse(Eq)) {
           Vacuous = true;
           break;
@@ -244,9 +311,8 @@ void collectFunctionalConsistencyInstances(
       }
       Inst.Consequent.add(
           Constraint::equals(Expr(1, A), Expr(1, B)));
-      std::string Key = Inst.Antecedent.str() + "=>" + Inst.Consequent.str();
-      if (Seen.insert(std::move(Key)).second)
-        Out.push_back(std::move(Inst));
+      if (const AssertionInstance *Kept = Seen.insert(std::move(Inst)))
+        Out.push_back(Kept);
     }
   }
 }
@@ -268,10 +334,10 @@ instantiatePhase1(const Conjunction &C,
   if (Origins) {
     Origins->BaseKeys.clear();
     for (const Constraint &C0 : Aug.constraints())
-      Origins->BaseKeys.insert(OriginMap::keyOf(C0));
+      Origins->BaseKeys.insert(C0);
   }
-  std::set<std::string> SeenInstances;
-  std::vector<AssertionInstance> Instances;
+  InstanceStore SeenInstances;
+  std::vector<const AssertionInstance *> Instances;
   std::vector<bool> Consumed;
   unsigned ProbesLeft = Opts.SemanticPhase1 ? Opts.SemanticProbeCap : 0;
 
@@ -279,22 +345,39 @@ instantiatePhase1(const Conjunction &C,
   // antecedent mentioning a call that occurs nowhere in Aug can never be
   // entailed, so we skip the (much costlier) semantic probe. The flattened
   // form of Aug is kept alongside so each probe only lowers one extra row
-  // instead of re-flattening the whole conjunction.
-  std::set<std::string> AugCallKeys;
+  // instead of re-flattening the whole conjunction. Both describe Aug as
+  // of the last refresh (a contrapositive addition waits for the next
+  // one) and are built on the first probe after it.
+  std::unordered_set<Atom> AugCalls;
   Flattened AugFlat;
+  size_t RefreshedAt = 0; // Aug's size at the last refresh
+  bool Stale = true;
   auto RefreshCalls = [&] {
-    AugCallKeys.clear();
-    for (const Atom &A : Aug.collectCalls())
-      AugCallKeys.insert(A.str());
-    AugFlat = flatten(Aug, {});
+    RefreshedAt = Aug.constraints().size();
+    Stale = true;
   };
   RefreshCalls();
+  auto Rebuild = [&] {
+    if (!Stale)
+      return;
+    Stale = false;
+    const std::vector<Constraint> &Cs = Aug.constraints();
+    Conjunction Prefix;
+    if (RefreshedAt < Cs.size())
+      Prefix = Conjunction(std::vector<Constraint>(
+          Cs.begin(), Cs.begin() + static_cast<std::ptrdiff_t>(RefreshedAt)));
+    const Conjunction &Snapshot = RefreshedAt < Cs.size() ? Prefix : Aug;
+    AugCalls.clear();
+    for (const Atom &A : Snapshot.collectCalls())
+      AugCalls.insert(A);
+    AugFlat = flatten(Snapshot, {});
+  };
   std::vector<Atom> CallScratch; // reused across probes
   auto CallsPresent = [&](const Constraint &P) {
     CallScratch.clear();
     P.E.collectCalls(CallScratch);
     for (const Atom &A : CallScratch)
-      if (!AugCallKeys.count(A.str()))
+      if (!AugCalls.count(A))
         return false;
     return true;
   };
@@ -307,7 +390,7 @@ instantiatePhase1(const Conjunction &C,
   // non-empty; the witness pool answers those from points earlier probes
   // found (points survive RefreshCalls: each is re-checked against the
   // full row set of every probe).
-  std::map<std::string, ProbeResult> ProbeCache;
+  std::unordered_map<Constraint, ProbeResult> ProbeCache;
   // Map a probe's integer-level emptiness core back onto Aug's constraints
   // (the probe set is AugFlat.Set plus one trailing inequality — the
   // negated goal, which is the proof's reductio and needs no label).
@@ -331,10 +414,12 @@ instantiatePhase1(const Conjunction &C,
     }
   };
   auto ImpliedSemantically = [&](const Constraint &P) {
-    if (ProbesLeft == 0 || !CallsPresent(P))
+    if (ProbesLeft == 0)
       return false;
-    std::string Key = P.str();
-    auto Cached = ProbeCache.find(Key);
+    Rebuild();
+    if (!CallsPresent(P))
+      return false;
+    auto Cached = ProbeCache.find(P);
     if (Cached != ProbeCache.end())
       return Cached->second.Implied;
     unsigned Budget = std::min(Opts.EmptinessBudget, 8u);
@@ -345,15 +430,15 @@ instantiatePhase1(const Conjunction &C,
       std::vector<int64_t> Row(Width + 1, 0);
       Row[Width] = Neg.E.constant();
       for (const Expr::Term &T : Neg.E.terms()) {
-        auto It = AugFlat.ColIndex.find(T.A.str());
-        if (It == AugFlat.ColIndex.end())
+        unsigned Col = AugFlat.columnOf(T.A);
+        if (Col == Width)
           return false; // unseen variable: cannot be entailed
-        Row[It->second] += T.Coeff;
+        Row[Col] += T.Coeff;
       }
       presburger::BasicSet Probe = AugFlat.Set;
       Probe.addInequality(std::move(Row));
       presburger::EmptinessCore EC;
-      if (Witnesses.isEmpty(Probe, AugFlat.Names, Budget,
+      if (Witnesses.isEmpty(Probe, AugFlat.Cols, Budget,
                             Origins ? &EC : nullptr) !=
           presburger::Ternary::True)
         return false;
@@ -372,7 +457,7 @@ instantiatePhase1(const Conjunction &C,
     if (!PR.Implied)
       PR.Support.clear();
     bool Result = PR.Implied;
-    ProbeCache.emplace(std::move(Key), std::move(PR));
+    ProbeCache.emplace(P, std::move(PR));
     return Result;
   };
 
@@ -380,24 +465,32 @@ instantiatePhase1(const Conjunction &C,
   // (e.g. rowptr(col(k)+1) from a segment-pointer consequent), which seed
   // new argument expressions for Definition 1's E on the next round.
   const unsigned MaxRounds = std::max(1u, Opts.InstantiationRounds);
+  std::vector<Expr> PrevE;
+  std::vector<bool> Old;
   for (unsigned Round = 0; Round < MaxRounds; ++Round) {
   size_t SizeBefore = Instances.size();
   std::vector<Expr> E = argumentExpressionSet(Aug);
+  // Aug only grows, so E holds the previous round's expressions (sorted,
+  // as PrevE is).
+  Old.assign(E.size(), false);
+  for (size_t I = 0; I < E.size(); ++I)
+    Old[I] = std::binary_search(PrevE.begin(), PrevE.end(), E[I]);
   // Property instances come first: they carry the domain knowledge and are
   // the profitable targets for the (budgeted) semantic probes. The
   // functional-consistency guards are numerous and mostly matter for
   // phase 2, so they queue behind.
-  std::vector<AssertionInstance> NewInstances;
-  enumerateInstances(Assertions, E, Opts, S, SeenInstances, NewInstances);
+  std::vector<const AssertionInstance *> NewInstances;
+  enumerateInstances(Assertions, E, Round > 0 ? &Old : nullptr, Opts, S,
+                     SeenInstances, NewInstances);
+  PrevE = std::move(E);
   std::stable_sort(NewInstances.begin(), NewInstances.end(),
-                   [](const AssertionInstance &A, const AssertionInstance &B) {
-                     return A.Antecedent.constraints().size() <
-                            B.Antecedent.constraints().size();
+                   [](const AssertionInstance *A, const AssertionInstance *B) {
+                     return A->Antecedent.constraints().size() <
+                            B->Antecedent.constraints().size();
                    });
   collectFunctionalConsistencyInstances(Aug, Opts, S, SeenInstances,
                                         NewInstances);
-  for (AssertionInstance &Inst : NewInstances)
-    Instances.push_back(std::move(Inst));
+  Instances.insert(Instances.end(), NewInstances.begin(), NewInstances.end());
   Consumed.resize(Instances.size(), false);
   if (Round > 0 && Instances.size() == SizeBefore)
     break; // nothing new to try
@@ -414,7 +507,7 @@ instantiatePhase1(const Conjunction &C,
     for (size_t I = 0; I < Instances.size(); ++I) {
       if (Consumed[I])
         continue;
-      const AssertionInstance &Inst = Instances[I];
+      const AssertionInstance &Inst = *Instances[I];
 
       // Useless if the consequent adds nothing.
       bool ConsImplied = true;
@@ -447,7 +540,7 @@ instantiatePhase1(const Conjunction &C,
             if (Aug.impliesSyntactically(P)) {
               appendSyntacticSupport(*Origins, Aug, P, Labels);
             } else {
-              auto It = ProbeCache.find(P.str());
+              auto It = ProbeCache.find(P);
               if (It != ProbeCache.end() && It->second.Implied)
                 Labels.insert(Labels.end(), It->second.Support.begin(),
                               It->second.Support.end());
@@ -458,11 +551,9 @@ instantiatePhase1(const Conjunction &C,
           std::sort(Labels.begin(), Labels.end());
           Labels.erase(std::unique(Labels.begin(), Labels.end()),
                        Labels.end());
-          for (const Constraint &Q : Inst.Consequent.constraints()) {
-            std::string Key = OriginMap::keyOf(Q);
-            if (!Origins->BaseKeys.count(Key))
-              Origins->ConstraintOrigins.emplace(std::move(Key), Labels);
-          }
+          for (const Constraint &Q : Inst.Consequent.constraints())
+            if (!Origins->BaseKeys.count(Q))
+              Origins->ConstraintOrigins.emplace(Q, Labels);
         }
         Aug.append(Inst.Consequent);
         RefreshCalls();
@@ -487,9 +578,9 @@ instantiatePhase1(const Conjunction &C,
             std::sort(Labels.begin(), Labels.end());
             Labels.erase(std::unique(Labels.begin(), Labels.end()),
                          Labels.end());
-            std::string Key = OriginMap::keyOf(negateGeq(P));
-            if (!Origins->BaseKeys.count(Key))
-              Origins->ConstraintOrigins.emplace(std::move(Key),
+            Constraint NotP = negateGeq(P);
+            if (!Origins->BaseKeys.count(NotP))
+              Origins->ConstraintOrigins.emplace(std::move(NotP),
                                                  std::move(Labels));
           }
           Aug.add(negateGeq(P));
@@ -509,7 +600,7 @@ instantiatePhase1(const Conjunction &C,
   if (Phase2) {
     for (size_t I = 0; I < Instances.size(); ++I)
       if (!Consumed[I])
-        Phase2->push_back(Instances[I]);
+        Phase2->push_back(*Instances[I]);
   }
   return Aug;
 }
@@ -530,20 +621,6 @@ struct Piece {
 /// Points kept per piece.
 constexpr size_t MaxPiecePoints = 8;
 
-/// Phase-2 work counters (Metrics.h registry).
-struct Phase2Metrics {
-  obs::MetricCounter &Pieces = obs::metricCounter("ir.phase2_pieces");
-  obs::MetricCounter &Checks = obs::metricCounter("ir.phase2_checks");
-  obs::MetricCounter &Inherited = obs::metricCounter("ir.phase2_inherited");
-  obs::MetricCounter &Dropped =
-      obs::metricCounter("ir.phase2_splits_dropped");
-};
-
-Phase2Metrics &phase2Metrics() {
-  static Phase2Metrics M;
-  return M;
-}
-
 /// Emptiness of one piece. A True verdict records the piece's citations
 /// in `CC`; a False verdict hands back its point.
 presburger::Ternary checkPiece(const LoweredSpace &Space, const Piece &P,
@@ -554,7 +631,7 @@ presburger::Ternary checkPiece(const LoweredSpace &Space, const Piece &P,
   presburger::EmptinessCore EC;
   std::vector<int64_t> Local;
   presburger::Ternary V = Witnesses.isEmpty(
-      L.F.Set, L.F.Names, Budget, CC ? &EC : nullptr, Point ? &Local : nullptr);
+      L.F.Set, L.F.Cols, Budget, CC ? &EC : nullptr, Point ? &Local : nullptr);
   if (V == presburger::Ternary::True)
     notePieceEmpty(CC, Space, L, EC);
   else if (V == presburger::Ternary::False && Point)
@@ -595,7 +672,7 @@ bool applyDisjunctiveInstance(std::vector<Piece> &Pieces,
                               const LoweredSpace &Space,
                               const SimplifyOptions &Opts, CoreCollector *CC,
                               WitnessPool &Witnesses) {
-  Phase2Metrics &M = phase2Metrics();
+  InstantiationMetrics &M = instantiationMetrics();
   bool Prune = Pieces.size() * Branches.size() > Opts.MaxPieces;
   CoreCollector Split;
   Split.Origins = CC ? CC->Origins : nullptr;
@@ -657,7 +734,7 @@ bool allPiecesProvenEmpty(const std::vector<Piece> &Pieces,
     if (!P.Points.empty())
       return false;
   for (const Piece &P : Pieces) {
-    phase2Metrics().Checks.add();
+    instantiationMetrics().Checks.add();
     if (checkPiece(Space, P, Opts.EmptinessBudget, CC, Witnesses, nullptr) !=
         presburger::Ternary::True)
       return false;
@@ -733,19 +810,24 @@ static bool provenUnsatWithAssertions(
     if (Used >= Opts.MaxPhase2Instances)
       break;
     std::vector<std::vector<unsigned>> Branches = branchesOf(Space, Inst);
+    // Branch literals are case assumptions: the split's own label pays for
+    // their exhaustiveness, nothing else is needed. A dropped split
+    // withdraws the origins it registered.
+    std::vector<unsigned> Registered;
     if (Origins) {
-      // Branch literals are case assumptions: the split's own label pays
-      // for their exhaustiveness, nothing else is needed.
       std::vector<std::string> L{Inst.Label + " [disjunctive]"};
       for (const std::vector<unsigned> &Branch : Branches)
         for (unsigned Id : Branch) {
-          std::string Key = OriginMap::keyOf(Space.literal(Id));
-          if (!Origins->BaseKeys.count(Key))
-            Origins->ConstraintOrigins.emplace(std::move(Key), L);
+          const Constraint &Lit = Space.literal(Id);
+          if (!Origins->BaseKeys.count(Lit) &&
+              Origins->ConstraintOrigins.emplace(Lit, L).second)
+            Registered.push_back(Id);
         }
     }
     if (!applyDisjunctiveInstance(Pieces, Branches, Space, Opts, CC,
                                   Witnesses)) {
+      for (unsigned Id : Registered)
+        Origins->ConstraintOrigins.erase(Space.literal(Id));
       ++S.Dropped;
       continue;
     }

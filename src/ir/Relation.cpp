@@ -13,10 +13,37 @@
 namespace sds {
 namespace ir {
 
-/// Canonical key of a constraint's linear part (expression minus its
-/// constant term).
-static std::string linearKey(const Expr &E) {
-  return (E - Expr(E.constant())).str();
+auto Conjunction::entriesFor(uint64_t H) const
+    -> std::pair<std::vector<LinEntry>::const_iterator,
+                 std::vector<LinEntry>::const_iterator> {
+  auto Lo = std::lower_bound(
+      Index.begin(), Index.end(), H,
+      [](const LinEntry &L, uint64_t V) { return L.Hash < V; });
+  auto Hi = Lo;
+  while (Hi != Index.end() && Hi->Hash == H)
+    ++Hi;
+  return {Lo, Hi};
+}
+
+bool Conjunction::sameLinear(const LinEntry &L, const Expr &E,
+                             int64_t Sign) const {
+  return E.sameLinearPart(Cs[L.Source].E, L.Negated ? -Sign : Sign);
+}
+
+void Conjunction::index(LinEntry L, const Expr &E, int64_t Sign) {
+  auto [Lo, Hi] = entriesFor(L.Hash);
+  for (auto It = Lo; It != Hi; ++It) {
+    if (It->IsEq != L.IsEq || !sameLinear(*It, E, Sign))
+      continue;
+    LinEntry &Old = Index[static_cast<size_t>(It - Index.begin())];
+    if (!L.IsEq) {
+      Old.Const = std::min(Old.Const, L.Const); // the tightest bound
+      return;
+    }
+    if (Old.Const == L.Const)
+      return;
+  }
+  Index.insert(Index.begin() + (Hi - Index.cbegin()), L);
 }
 
 void Conjunction::add(Constraint C) {
@@ -25,23 +52,22 @@ void Conjunction::add(Constraint C) {
     if (C.isEq() ? (C.E.constant() == 0) : (C.E.constant() >= 0))
       return;
   }
-  std::string Exact = (C.isEq() ? "=" : ">") + C.E.str();
-  if (!ExactKeys.insert(std::move(Exact)).second)
-    return;
-  // Maintain the implication index.
-  std::string Key = linearKey(C.E);
-  LinInfo &Info = Index[Key];
-  int64_t K = C.E.constant();
-  if (C.isEq()) {
-    Info.EqConsts.insert(K);
-    // An equality also indexes its negated linear part.
-    LinInfo &Neg = Index[linearKey(-C.E)];
-    Neg.EqConsts.insert(-K);
-  } else if (!Info.HasGeq || K < Info.MinGeqConst) {
-    Info.HasGeq = true;
-    Info.MinGeqConst = K;
-  }
+  uint64_t H = C.hash();
+  auto Pos = std::lower_bound(Exact.begin(), Exact.end(),
+                              std::make_pair(H, 0u));
+  for (auto It = Pos; It != Exact.end() && It->first == H; ++It)
+    if (Cs[It->second] == C)
+      return;
+  unsigned CI = static_cast<unsigned>(Cs.size());
+  Exact.insert(Pos, {H, CI});
   Cs.push_back(std::move(C));
+  // Maintain the implication index.
+  const Expr &E = Cs.back().E;
+  int64_t K = E.constant();
+  bool IsEq = Cs.back().isEq();
+  index({E.linearHash(1), CI, false, IsEq, K}, E, 1);
+  if (IsEq)
+    index({E.linearHash(-1), CI, true, true, -K}, E, -1);
 }
 
 bool Conjunction::impliesSyntactically(const Constraint &C) const {
@@ -49,22 +75,17 @@ bool Conjunction::impliesSyntactically(const Constraint &C) const {
   if (C.E.isConstant())
     return C.isEq() ? (C.E.constant() == 0) : (C.E.constant() >= 0);
 
-  auto It = Index.find(linearKey(C.E));
-  if (It == Index.end())
-    return false;
-  const LinInfo &Info = It->second;
-  int64_t K = C.E.constant();
-  if (C.isEq()) {
-    // Need lin + K == 0 forced: an equality lin + K == 0 must be present.
-    return Info.EqConsts.count(K) > 0;
-  }
-  // Geq: lin + K >= 0. Implied by lin + ch >= 0 with ch <= K, or by an
+  // Eq: lin + K == 0 is forced only by an equality lin + K == 0. Geq:
+  // lin + K >= 0 is implied by lin + ch >= 0 with ch <= K, or by an
   // equality lin + ce == 0 with ce <= K (then lin + K = K - ce >= 0).
-  if (Info.HasGeq && Info.MinGeqConst <= K)
-    return true;
-  for (int64_t Ce : Info.EqConsts)
-    if (Ce <= K)
+  int64_t K = C.E.constant();
+  auto [Lo, Hi] = entriesFor(C.E.linearHash(1));
+  for (auto It = Lo; It != Hi; ++It) {
+    if (!sameLinear(*It, C.E, 1))
+      continue;
+    if (C.isEq() ? (It->IsEq && It->Const == K) : It->Const <= K)
       return true;
+  }
   return false;
 }
 
@@ -133,7 +154,7 @@ unsigned SparseRelation::eliminateDeterminedExistentials() {
         // Look for a top-level term (+|-)1 * V.
         int64_t Coeff = 0;
         for (const Expr::Term &T : C.E.terms())
-          if (T.A.isVar() && T.A.Name == V)
+          if (T.A.isVar() && T.A.name() == V)
             Coeff = T.Coeff;
         if (Coeff != 1 && Coeff != -1)
           continue;

@@ -25,7 +25,7 @@ eliminateDeterminedVars(SparseRelation &R, std::vector<std::string> Vars) {
           continue;
         int64_t Coeff = 0;
         for (const Expr::Term &T : C.E.terms())
-          if (T.A.isVar() && T.A.Name == V)
+          if (T.A.isVar() && T.A.name() == V)
             Coeff = T.Coeff;
         if (Coeff != 1 && Coeff != -1)
           continue;
@@ -66,7 +66,7 @@ presburger::BasicSet lowerOnto(const Flattened &F, const Conjunction &C) {
     std::vector<int64_t> Row(Width + 1, 0);
     Row[Width] = Cons.E.constant();
     for (const Expr::Term &T : Cons.E.terms()) {
-      auto It = F.ColIndex.find(T.A.str());
+      auto It = F.ColIndex.find(T.A);
       if (It == F.ColIndex.end())
         continue; // cannot happen when the space covers both conjunctions
       Row[It->second] += T.Coeff;
@@ -129,7 +129,7 @@ presburger::Ternary subsumes(const SparseRelation &Kept,
     const Atom &A = F.Cols[Col];
     std::vector<std::string> Mentioned;
     if (A.isVar()) {
-      Mentioned.push_back(A.Name);
+      Mentioned.push_back(A.name());
     } else {
       Expr CallExpr(1, A);
       CallExpr.collectVars(Mentioned);

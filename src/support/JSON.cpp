@@ -10,6 +10,7 @@
 #include <cctype>
 #include <charconv>
 #include <cstdio>
+#include <stdexcept>
 
 namespace sds {
 namespace json {
@@ -58,8 +59,16 @@ const Object &Value::asObject() const {
 const Value *Value::get(std::string_view Key) const {
   if (!isObject())
     return nullptr;
-  auto It = ObjVal->find(std::string(Key));
+  auto It = ObjVal->find(Key);
   return It == ObjVal->end() ? nullptr : &It->second;
+}
+
+const Value &Object::at(std::string_view Key) const {
+  auto It = find(Key);
+  if (It == end())
+    throw std::out_of_range("json::Object::at: no member '" +
+                            std::string(Key) + "'");
+  return It->second;
 }
 
 static void escapeTo(const std::string &S, std::string &Out) {
@@ -90,35 +99,44 @@ static void escapeTo(const std::string &S, std::string &Out) {
 
 std::string Value::str() const {
   std::string Out;
+  appendTo(Out);
+  return Out;
+}
+
+void Value::appendTo(std::string &Out) const {
   switch (K) {
   case Kind::Null:
-    return "null";
+    Out += "null";
+    return;
   case Kind::Bool:
-    return BoolVal ? "true" : "false";
+    Out += BoolVal ? "true" : "false";
+    return;
   case Kind::Int:
-    return std::to_string(IntVal);
+    Out += std::to_string(IntVal);
+    return;
   case Kind::Double: {
     char Buf[32];
     std::snprintf(Buf, sizeof(Buf), "%g", DoubleVal);
-    return Buf;
+    Out += Buf;
+    return;
   }
   case Kind::String:
     escapeTo(StrVal, Out);
-    return Out;
+    return;
   case Kind::Array: {
-    Out = "[";
+    Out += "[";
     bool First = true;
     for (const Value &V : *ArrVal) {
       if (!First)
         Out += ",";
       First = false;
-      Out += V.str();
+      V.appendTo(Out);
     }
     Out += "]";
-    return Out;
+    return;
   }
   case Kind::Object: {
-    Out = "{";
+    Out += "{";
     bool First = true;
     for (const auto &[Key, V] : *ObjVal) {
       if (!First)
@@ -126,13 +144,12 @@ std::string Value::str() const {
       First = false;
       escapeTo(Key, Out);
       Out += ":";
-      Out += V.str();
+      V.appendTo(Out);
     }
     Out += "}";
-    return Out;
+    return;
   }
   }
-  return Out;
 }
 
 namespace {
@@ -233,11 +250,15 @@ private:
       return false;
     S.clear();
     while (Pos < Text.size() && Text[Pos] != '"') {
-      char C = Text[Pos++];
-      if (C != '\\') {
-        S.push_back(C);
-        continue;
-      }
+      // Copy the run up to the next quote or escape in one piece.
+      size_t End = Pos;
+      while (End < Text.size() && Text[End] != '"' && Text[End] != '\\')
+        ++End;
+      S.append(Text.data() + Pos, End - Pos);
+      Pos = End;
+      if (Pos == Text.size() || Text[Pos] == '"')
+        break;
+      ++Pos; // the backslash
       if (Pos >= Text.size())
         return fail("unterminated escape");
       char E = Text[Pos++];

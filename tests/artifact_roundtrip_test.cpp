@@ -388,6 +388,30 @@ TEST(ArtifactRejection, CorruptTruncatedSkewedBlobs) {
   }
 }
 
+TEST(ArtifactRejection, ChecksumHoldsOutsideTheWrittenLayout) {
+  // deserialize hashes the payload's verbatim span when the blob has the
+  // exact layout serialize() writes; whitespace inside the payload breaks
+  // that match, and the checksum is then taken over the re-serialized
+  // payload, so the blob still loads, and a corrupted one still fails.
+  std::string Blob =
+      artifact::serialize(artifact::compile(kernels::forwardSolveCSC()));
+  std::string Spaced = Blob;
+  size_t Pos = Spaced.find("\"deps\":");
+  ASSERT_NE(Pos, std::string::npos);
+  Spaced.insert(Pos, " \n ");
+  artifact::CompiledKernel Want, Got;
+  ASSERT_TRUE(artifact::deserialize(Blob, Want).ok());
+  support::Status S = artifact::deserialize(Spaced, Got);
+  ASSERT_TRUE(S.ok()) << S.str();
+  EXPECT_EQ(artifact::serialize(Got), Blob);
+
+  std::string Corrupt = Spaced;
+  Pos = Corrupt.find("\"status\":\"");
+  ASSERT_NE(Pos, std::string::npos);
+  Corrupt[Pos + 11] = Corrupt[Pos + 11] == 'x' ? 'y' : 'x';
+  expectRejected(Corrupt, "checksum", "spaced payload bit flip");
+}
+
 TEST(ArtifactRejection, StatusCarriesFieldContext) {
   // Corrupt a known-good blob's payload via a field rename that keeps the
   // JSON valid but breaks decoding *and* the checksum. The checksum

@@ -34,9 +34,9 @@ TEST(Flatten, ColumnLayoutAndSharing) {
   Flattened F = flatten(R);
   // Columns: i, i', k', then calls col(k'), rowptr(i'), rowptr(i' + 1).
   ASSERT_EQ(F.Cols.size(), 6u);
-  EXPECT_EQ(F.Names[0], "i");
-  EXPECT_EQ(F.Names[1], "i'");
-  EXPECT_EQ(F.Names[2], "k'");
+  EXPECT_EQ(F.names()[0], "i");
+  EXPECT_EQ(F.names()[1], "i'");
+  EXPECT_EQ(F.names()[2], "k'");
   EXPECT_NE(F.columnOf(Atom::call("col", {Expr::var("k'")})),
             F.Set.numVars());
   // Syntactically equal calls share one column.
@@ -104,8 +104,8 @@ TEST(Flatten, VarOrderRespected) {
   Conjunction C;
   C.add(Constraint::lt(Expr::var("a"), Expr::var("b")));
   Flattened F = flatten(C, {"b", "a"});
-  EXPECT_EQ(F.Names[0], "b");
-  EXPECT_EQ(F.Names[1], "a");
+  EXPECT_EQ(F.names()[0], "b");
+  EXPECT_EQ(F.names()[1], "a");
   ASSERT_EQ(F.Set.inequalities().size(), 1u);
   // b - a - 1 >= 0 with b in column 0.
   EXPECT_EQ(F.Set.inequalities()[0],
@@ -132,6 +132,14 @@ struct CountersOn {
 };
 
 uint64_t solves() { return obs::counter("simplex.solves").value(); }
+
+/// Variable atoms named `Names`, one per column.
+std::vector<Atom> vars(const std::vector<std::string> &Names) {
+  std::vector<Atom> Out;
+  for (const std::string &N : Names)
+    Out.push_back(Atom::var(N));
+  return Out;
+}
 uint64_t witnessHits() {
   return obs::metricCounter("presburger.witness_hits").value();
 }
@@ -147,7 +155,7 @@ TEST(WitnessPool, HitIssuesNoSolve) {
   A.addEquality({1, 0, -2});
   A.addEquality({0, 1, -3});
   uint64_t S0 = solves(), H0 = witnessHits();
-  EXPECT_EQ(Pool.isEmpty(A, {"x", "y"}, 64), Ternary::False);
+  EXPECT_EQ(Pool.isEmpty(A, vars({"x", "y"}), 64), Ternary::False);
   EXPECT_GT(solves(), S0);
   EXPECT_EQ(Pool.size(), 1u);
 
@@ -159,7 +167,7 @@ TEST(WitnessPool, HitIssuesNoSolve) {
   uint64_t S1 = solves();
   EmptinessCore Core;
   Core.Valid = true;
-  EXPECT_EQ(Pool.isEmpty(B, {"y", "x"}, 64, &Core), Ternary::False);
+  EXPECT_EQ(Pool.isEmpty(B, vars({"y", "x"}), 64, &Core), Ternary::False);
   EXPECT_EQ(solves(), S1);
   EXPECT_EQ(witnessHits(), H0 + 1);
   EXPECT_FALSE(Core.Valid);
@@ -168,7 +176,7 @@ TEST(WitnessPool, HitIssuesNoSolve) {
   // A column no stored point covers (z) falls through to the solver.
   BasicSet C(3);
   C.addInequality({1, -1, 0, 0});
-  EXPECT_EQ(Pool.isEmpty(C, {"y", "x", "z"}, 64), Ternary::False);
+  EXPECT_EQ(Pool.isEmpty(C, vars({"y", "x", "z"}), 64), Ternary::False);
   EXPECT_GT(solves(), S1);
   EXPECT_EQ(witnessHits(), H0 + 1);
   EXPECT_EQ(Pool.size(), 2u);
@@ -177,7 +185,7 @@ TEST(WitnessPool, HitIssuesNoSolve) {
   BasicSet E(2);
   E.addInequality({1, 0, -5});  // x >= 5
   E.addInequality({-1, 0, 4});  // x <= 4
-  EXPECT_EQ(Pool.isEmpty(E, {"x", "y"}, 64, &Core), Ternary::True);
+  EXPECT_EQ(Pool.isEmpty(E, vars({"x", "y"}), 64, &Core), Ternary::True);
   EXPECT_TRUE(Core.Valid);
   EXPECT_EQ(Core.Rows, (std::vector<uint32_t>{0, 1}));
 }
@@ -218,7 +226,7 @@ TEST(WitnessPool, AnswersMatchDirectSolvesOnRandomSystems) {
       }
       EmptinessCore Want, Got;
       Ternary Direct = S.isEmpty(64, &Want);
-      Ternary Pooled = Pool.isEmpty(S, Names, 64, &Got);
+      Ternary Pooled = Pool.isEmpty(S, vars(Names), 64, &Got);
       ASSERT_EQ(Pooled == Ternary::True, Direct == Ternary::True)
           << "seed " << Seed << " query " << Q << ": " << S.str(Names);
       if (Direct != Ternary::Unknown) {
@@ -241,14 +249,16 @@ TEST(WitnessPool, HandsBackTheAnsweringPoint) {
   A.addEquality({1, 0, -2});
   A.addEquality({0, 1, -3});
   std::vector<int64_t> Point;
-  EXPECT_EQ(Pool.isEmpty(A, {"x", "y"}, 64, nullptr, &Point), Ternary::False);
+  EXPECT_EQ(Pool.isEmpty(A, vars({"x", "y"}), 64, nullptr, &Point),
+            Ternary::False);
   EXPECT_EQ(Point, (std::vector<int64_t>{2, 3}));
   // A pool hit in another column order answers with the stored point,
   // reordered to the query's columns.
   BasicSet B(2);
   B.addInequality({1, -1, 0}); // y >= x
   Point.clear();
-  EXPECT_EQ(Pool.isEmpty(B, {"y", "x"}, 64, nullptr, &Point), Ternary::False);
+  EXPECT_EQ(Pool.isEmpty(B, vars({"y", "x"}), 64, nullptr, &Point),
+            Ternary::False);
   EXPECT_EQ(Point, (std::vector<int64_t>{3, 2}));
 }
 
@@ -268,7 +278,7 @@ Flattened flattenWith(SparseRelation R, const std::vector<Constraint> &Lits) {
 }
 
 void expectSameFlattening(const Flattened &Want, const Flattened &Got) {
-  EXPECT_EQ(Want.Names, Got.Names);
+  EXPECT_EQ(Want.names(), Got.names());
   EXPECT_EQ(Want.Set.numVars(), Got.Set.numVars());
   EXPECT_EQ(Want.Set.equalities(), Got.Set.equalities());
   EXPECT_EQ(Want.Set.inequalities(), Got.Set.inequalities());
@@ -343,10 +353,11 @@ TEST(LoweredSpace, PointsLiftAndTestLiteralsExactly) {
   // g(j) has no value in a base point: it reads 0, violating g(j) == 5.
   EXPECT_FALSE(Space.satisfies(Fresh, Global));
   Space.assemble({Fresh}, P);
-  ASSERT_EQ(P.F.Names.size(), 5u);
+  std::vector<std::string> Names = P.F.names();
+  ASSERT_EQ(Names.size(), 5u);
   std::vector<int64_t> Local(5, 0);
-  for (size_t J = 0; J < P.F.Names.size(); ++J)
-    Local[J] = P.F.Names[J] == "g(j)" ? 5 : P.F.Names[J] == "j" ? 1 : 0;
+  for (size_t J = 0; J < Names.size(); ++J)
+    Local[J] = Names[J] == "g(j)" ? 5 : Names[J] == "j" ? 1 : 0;
   std::vector<int64_t> Lifted = Space.lift(P, Local);
   EXPECT_TRUE(Space.satisfies(Fresh, Lifted));
   EXPECT_FALSE(Space.satisfies(Gap, Lifted)); // j - i - 2 = -1

@@ -49,10 +49,9 @@ Constraint negateGeq(const Constraint &C) {
 
 void appendOrigin(const OriginMap &O, const Constraint &C,
                   std::vector<std::string> &Out) {
-  std::string Key = OriginMap::keyOf(C);
-  if (O.BaseKeys.count(Key))
+  if (O.BaseKeys.count(C))
     return;
-  auto It = O.ConstraintOrigins.find(Key);
+  auto It = O.ConstraintOrigins.find(C);
   if (It == O.ConstraintOrigins.end()) {
     Out.push_back(OriginMap::unattributed());
     return;
@@ -81,7 +80,7 @@ void compareLowering(const Flattened &Want, const LoweredSpace &Space,
   LoweredSpace::Piece Got;
   Space.assemble(P.Stack, Got);
   ++PiecesCompared;
-  bool Same = Want.Names == Got.F.Names &&
+  bool Same = Want.Cols == Got.F.Cols &&
               Want.Set.numVars() == Got.F.Set.numVars() &&
               Want.Set.equalities() == Got.F.Set.equalities() &&
               Want.Set.inequalities() == Got.F.Set.inequalities() &&
@@ -89,8 +88,8 @@ void compareLowering(const Flattened &Want, const LoweredSpace &Space,
               Want.IneqRowConstraint == Got.F.IneqRowConstraint;
   if (!Same && ++LoweringMismatches <= 3)
     ADD_FAILURE() << "lowered piece differs from flatten():\n  want "
-                  << Want.Set.str(Want.Names) << "\n  got  "
-                  << Got.F.Set.str(Got.F.Names);
+                  << Want.Set.str(Want.names()) << "\n  got  "
+                  << Got.F.Set.str(Got.F.names());
 }
 
 Ternary refCheck(const SparseRelation &R, const LoweredSpace &Space,
@@ -101,7 +100,7 @@ Ternary refCheck(const SparseRelation &R, const LoweredSpace &Space,
   Flattened F = flatten(Tmp);
   compareLowering(F, Space, P);
   EmptinessCore EC;
-  Ternary V = Witnesses.isEmpty(F.Set, F.Names, Budget, CC ? &EC : nullptr);
+  Ternary V = Witnesses.isEmpty(F.Set, F.Cols, Budget, CC ? &EC : nullptr);
   if (V != Ternary::True || !CC)
     return V;
   if (!EC.Valid) {
@@ -208,11 +207,13 @@ bool refProve(const SparseRelation &R,
   for (const AssertionInstance &Inst : Phase2) {
     if (Used >= Opts.MaxPhase2Instances)
       break;
+    // A dropped split withdraws the branch origins it registered.
     std::vector<std::string> L{Inst.Label + " [disjunctive]"};
+    std::vector<Constraint> Registered;
     auto RegisterBranch = [&](const Constraint &BC) {
-      std::string Key = OriginMap::keyOf(BC);
-      if (!Origins.BaseKeys.count(Key))
-        Origins.ConstraintOrigins.emplace(std::move(Key), L);
+      if (!Origins.BaseKeys.count(BC) &&
+          Origins.ConstraintOrigins.emplace(BC, L).second)
+        Registered.push_back(BC);
     };
     for (const Constraint &Q : Inst.Consequent.constraints())
       RegisterBranch(Q);
@@ -225,6 +226,8 @@ bool refProve(const SparseRelation &R,
       }
     }
     if (!refApply(Pieces, Inst, R, Space, Opts, &CC, Witnesses)) {
+      for (const Constraint &BC : Registered)
+        Origins.ConstraintOrigins.erase(BC);
       ++S.Dropped;
       continue;
     }

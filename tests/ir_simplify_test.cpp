@@ -171,6 +171,28 @@ TEST(ProvenUnsat, DroppedSplitCitesNothing) {
                                  "functional_consistency(g) [disjunctive]"}));
 }
 
+TEST(ProvenUnsat, DroppedSplitWithdrawsItsOrigins) {
+  // f2's split comes first; with a cap of 2 pieces it is dropped. Its
+  // branch literals include i - j - 1 >= 0 and j - i - 1 >= 0 (the ways
+  // i = j can fail), which g's split needs too. A dropped split withdraws
+  // the origins it registered, so g's split registers those literals under
+  // its own label and the core cites nothing of f2.
+  SparseRelation R = parse(
+      "{ [i, j] : exists(k, m) : i <= j && j <= i && g(i) = 1 && "
+      "g(j) = 2 && f2(i, k) + f2(j, m) = 4 }");
+  SimplifyOptions Opts;
+  Opts.MaxPieces = 2;
+  Opts.SemanticPhase1 = false; // keep i = j out of phase 1
+  Opts.CoreMinimizeBudget = 0;
+  InstantiationStats Stats;
+  UnsatCore Core;
+  ASSERT_TRUE(provenUnsatAffineOnly(R, Opts, &Stats, &Core));
+  EXPECT_EQ(Stats.Dropped, 1u);
+  EXPECT_TRUE(Core.FromFarkas);
+  EXPECT_EQ(Core.Assertions, (std::vector<std::string>{
+                                 "functional_consistency(g) [disjunctive]"}));
+}
+
 TEST(ProvenUnsat, SatisfiableRelationStaysSatisfiable) {
   // The true forward-solve dependence (§2.1) must NOT be disproved even
   // with every property switched on: it is a real runtime dependence.
